@@ -246,9 +246,3 @@ class Orchestrator:
                 f"calibration must single out one sign, found {good_signs}"
             )
         return cls(good_signs[0], amplitude)
-
-    def emit(self, signal: int) -> float:
-        """Map a +-1 signal to the coupling emission."""
-        if signal not in (1, -1):
-            raise ValueError(f"signal must be +1 or -1, got {signal!r}")
-        return self.sign * signal * self.amplitude

@@ -42,6 +42,7 @@ from .io import (
     dump_json_text,
     format_float,
     matching_pennies_episode_csv_text,
+    measure_rows,
     measures_csv_text,
     measures_json_payload,
     parse_series_csv,
@@ -107,7 +108,15 @@ def build_parser() -> argparse.ArgumentParser:
     triadic.add_argument("--taus", type=_parse_taus, default=(1, 2, 3),
                          help="comma-separated lags, e.g. 1,2,3")
     triadic.add_argument("--out", required=True, help="output directory")
-    triadic.set_defaults(handler=_cmd_simulate_triadic)
+    triadic.set_defaults(
+        handler=_cmd_simulate,
+        build_config=lambda args: TriadicConfig(
+            mode=args.mode, steps=args.steps, seed=args.seed, delay=args.delay,
+            taus=args.taus,
+        ),
+        run=run_triadic,
+        episode_csv_text=triadic_episode_csv_text,
+    )
 
     pennies = commands.add_parser(
         "simulate-mp",
@@ -119,7 +128,14 @@ def build_parser() -> argparse.ArgumentParser:
     pennies.add_argument("--seed", type=int, default=0)
     pennies.add_argument("--taus", type=_parse_taus, default=(1, 2, 3))
     pennies.add_argument("--out", required=True, help="output directory")
-    pennies.set_defaults(handler=_cmd_simulate_mp)
+    pennies.set_defaults(
+        handler=_cmd_simulate,
+        build_config=lambda args: MatchingPenniesConfig(
+            algorithm_id=args.algo, steps=args.steps, seed=args.seed, taus=args.taus
+        ),
+        run=run_matching_pennies,
+        episode_csv_text=matching_pennies_episode_csv_text,
+    )
 
     measure = commands.add_parser(
         "measure",
@@ -149,35 +165,13 @@ def format_measure_table(
     reports: Sequence[MeasureReport], agent_names: Sequence[str]
 ) -> str:
     """Fixed-width summary: one row per lag, excess in the last column."""
-    header = ["tau", "joint_tdmi", *(f"{name}_tdmi" for name in agent_names), "excess"]
-    rows = [header]
-    for report in reports:
-        rows.append(
-            [
-                str(report.tau),
-                format_float(report.joint_tdmi),
-                *(format_float(part) for part in report.per_agent_tdmi),
-                format_float(report.excess),
-            ]
-        )
-    widths = [max(len(row[col]) for row in rows) for col in range(len(header))]
+    rows = measure_rows(reports, agent_names)
+    widths = [max(len(row[col]) for row in rows) for col in range(len(rows[0]))]
     lines = [
         "  ".join(cell.rjust(width) for cell, width in zip(row, widths))
         for row in rows
     ]
     return "\n".join(lines)
-
-
-def _write_measures(
-    outdir: Path,
-    reports: Sequence[MeasureReport],
-    agent_names: Sequence[str],
-    config_payload: dict,
-) -> None:
-    atomic_write_text(outdir / "measures.csv", measures_csv_text(reports, agent_names))
-    payload = measures_json_payload(reports, agent_names)
-    payload["config"] = config_payload
-    atomic_write_text(outdir / "measures.json", dump_json_text(payload))
 
 
 def _prepare_outdir(raw: str) -> Path:
@@ -192,48 +186,25 @@ def _finish_measured_run(
     agent_names: Sequence[str],
     config_payload: dict,
 ) -> int:
-    _write_measures(outdir, reports, agent_names, config_payload)
+    atomic_write_text(outdir / "measures.csv", measures_csv_text(reports, agent_names))
+    payload = measures_json_payload(reports, agent_names)
+    payload["config"] = config_payload
+    atomic_write_text(outdir / "measures.json", dump_json_text(payload))
     print(format_measure_table(reports, agent_names))
     print(f"wrote {outdir / 'measures.csv'} and {outdir / 'measures.json'}")
     return 0
 
 
-def _cmd_simulate_triadic(args, parser: argparse.ArgumentParser) -> int:
+def _cmd_simulate(args, parser: argparse.ArgumentParser) -> int:
+    """Simulate with the subcommand's config, runner and episode writer."""
     try:
-        config = TriadicConfig(
-            mode=args.mode,
-            steps=args.steps,
-            seed=args.seed,
-            delay=args.delay,
-            taus=args.taus,
-        )
+        config = args.build_config(args)
     except ValueError as exc:
         parser.error(str(exc))
-    log = run_triadic(config)
+    log = args.run(config)
     reports = measure_log(log)
     outdir = _prepare_outdir(args.out)
-    atomic_write_text(outdir / "episode.csv", triadic_episode_csv_text(log))
-    series = SeriesFile(log.agent_names, log.joint_series())
-    atomic_write_text(outdir / "series.csv", series_csv_text(series))
-    return _finish_measured_run(
-        outdir, reports, log.agent_names, dataclasses.asdict(config)
-    )
-
-
-def _cmd_simulate_mp(args, parser: argparse.ArgumentParser) -> int:
-    try:
-        config = MatchingPenniesConfig(
-            algorithm_id=args.algo,
-            steps=args.steps,
-            seed=args.seed,
-            taus=args.taus,
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
-    log = run_matching_pennies(config)
-    reports = measure_log(log)
-    outdir = _prepare_outdir(args.out)
-    atomic_write_text(outdir / "episode.csv", matching_pennies_episode_csv_text(log))
+    atomic_write_text(outdir / "episode.csv", args.episode_csv_text(log))
     series = SeriesFile(log.agent_names, log.joint_series())
     atomic_write_text(outdir / "series.csv", series_csv_text(series))
     return _finish_measured_run(
@@ -287,6 +258,19 @@ def load_pikl_config(path: str | None) -> dict:
     return config
 
 
+def _float_array(value) -> np.ndarray:
+    return np.asarray(value, dtype=np.float64)
+
+
+def _config_value(config: dict, key: str, convert=_float_array):
+    """``convert(config.get(key))``; a value it rejects is reported
+    against its key."""
+    try:
+        return convert(config.get(key))
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"config key {key!r}: {exc}") from exc
+
+
 def run_pikl_demo(config: dict, mode: ObjectiveMode) -> dict:
     """Work one instance end to end and return the JSON-ready report.
 
@@ -295,14 +279,22 @@ def run_pikl_demo(config: dict, mode: ObjectiveMode) -> dict:
     and the anchored/unified objective values of that response.
     """
     space = LatentTypeSpace(
-        np.asarray(config["prior"], dtype=np.float64),
-        tuple(config["type_labels"]) if config.get("type_labels") else None,
+        _config_value(config, "prior"),
+        _config_value(
+            config, "type_labels", lambda labels: tuple(labels) if labels else None
+        ),
     )
-    channel = Channel(np.asarray(config["channel"], dtype=np.float64))
-    conditional = Policy(np.asarray(config["conditional_policy"], dtype=np.float64), "tsa")
-    state = int(config["state"])
-    belief = BeliefState(np.asarray(config["receiver_type_belief"], dtype=np.float64))
-    speaker_utility = np.asarray(config["speaker_utility"], dtype=np.float64)
+    channel = Channel(_config_value(config, "channel"))
+    conditional = Policy(_config_value(config, "conditional_policy"), "tsa")
+    state = _config_value(config, "state", int)
+    n_states = conditional.table.shape[1]
+    if not 0 <= state < n_states:
+        raise ParseError(
+            f"config key 'state': {state} is not one of the {n_states} states "
+            "of conditional_policy"
+        )
+    belief = BeliefState(_config_value(config, "receiver_type_belief"))
+    speaker_utility = _config_value(config, "speaker_utility")
 
     utilities = message_expected_utilities(
         space, channel, conditional, state, speaker_utility, belief
@@ -311,16 +303,14 @@ def run_pikl_demo(config: dict, mode: ObjectiveMode) -> dict:
     induced = induced_message_policy(space, channel, conditional)
 
     params = ObjectiveParams(
-        q_values=np.asarray(config["q_values"], dtype=np.float64),
-        rewards=(
-            None
-            if config.get("rewards") is None
-            else np.asarray(config["rewards"], dtype=np.float64)
+        q_values=_config_value(config, "q_values"),
+        rewards=_config_value(
+            config, "rewards", lambda value: None if value is None else _float_array(value)
         ),
-        lambda_anchor=float(config["lambda_anchor"]),
-        lambda_tom=float(config["lambda_tom"]),
+        lambda_anchor=_config_value(config, "lambda_anchor", float),
+        lambda_tom=_config_value(config, "lambda_tom", float),
     )
-    anchor = Policy(np.asarray(config["anchor_policy"], dtype=np.float64), "sa")
+    anchor = Policy(_config_value(config, "anchor_policy"), "sa")
     pikl_rows = np.stack(
         [
             pikl_best_response(params.q_values[s], anchor.table[s], params.lambda_anchor)
@@ -329,7 +319,7 @@ def run_pikl_demo(config: dict, mode: ObjectiveMode) -> dict:
     )
     pikl_policy = Policy(pikl_rows, "sa")
     partner = Policy(induced.table[:, selected, :], "sa")
-    state_distribution = np.asarray(config["state_distribution"], dtype=np.float64)
+    state_distribution = _config_value(config, "state_distribution")
 
     greedy = Policy.greedy(params.q_values)
     report = {

@@ -166,12 +166,6 @@ class LagPairDistribution:
         """Wrap an analytically specified joint distribution (no samples)."""
         return cls(np.asarray(probabilities, dtype=np.float64), tau, 0)
 
-    def present_marginal(self) -> np.ndarray:
-        return self.probabilities.sum(axis=1)
-
-    def lagged_marginal(self) -> np.ndarray:
-        return self.probabilities.sum(axis=0)
-
 
 @dataclass(frozen=True)
 class MeasureReport:

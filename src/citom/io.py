@@ -1,4 +1,4 @@
-"""On-disk formats: symbol-series CSV, report CSV/JSON, game-table JSON.
+"""On-disk formats: symbol-series CSV, episode CSV, report CSV/JSON.
 
 Series files are plain CSV with one column per agent and one row per
 step, integer symbols only.  An optional leading comment line declares
@@ -14,7 +14,8 @@ number.
 
 All writers go through an atomic write-then-rename so a crashed run
 never leaves a truncated artifact, and floats are rendered with six
-decimal places so identical runs produce identical bytes.
+decimal places so identical runs produce identical bytes.  CSV rows are
+rendered and parsed ``BLOCK_ROWS`` at a time.
 """
 
 from __future__ import annotations
@@ -23,11 +24,10 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .game_core import GameTable
 from .info_measures import JointSeries, MeasureReport, SymbolSeries
 
 __all__ = [
@@ -36,17 +36,21 @@ __all__ = [
     "parse_series_csv",
     "atomic_write_text",
     "format_float",
+    "columns_csv_text",
     "series_csv_text",
     "triadic_episode_csv_text",
     "matching_pennies_episode_csv_text",
+    "measure_rows",
     "measures_csv_text",
     "measures_json_payload",
     "dump_json_text",
-    "game_table_payload",
-    "game_table_from_payload",
 ]
 
 ALPHABET_KEY = "alphabet_size"
+
+# Rows rendered or parsed per step: bounds the cells and tokens held at
+# once, however long the series.
+BLOCK_ROWS = 4096
 
 
 class ParseError(ValueError):
@@ -100,18 +104,54 @@ def _parse_alphabet_comment(line: str, line_no: int) -> tuple[int, ...] | None:
     return sizes
 
 
+def _symbol_block(rows: list[tuple[int, str]], width: int) -> np.ndarray:
+    """``(line number, data row)`` pairs as a ``(len(rows), width)`` int64 array.
+
+    ``np.array`` converts each token as ``int()`` would.  Only when the
+    block fails are its rows checked one by one, to name the first bad
+    line.
+    """
+    try:
+        tokens = [row.split(",") for _, row in rows]
+        return np.array(tokens, dtype=np.int64).reshape(len(rows), width)
+    except (ValueError, OverflowError):
+        for line_no, row in rows:
+            parts = [part.strip() for part in row.split(",")]
+            if len(parts) != width:
+                raise ParseError(
+                    f"line {line_no}: expected {width} fields, got {len(parts)}"
+                )
+            for part in parts:
+                try:
+                    np.int64(part)
+                except (ValueError, OverflowError) as exc:
+                    raise ParseError(
+                        f"line {line_no}: not an integer symbol: {part!r}"
+                    ) from exc
+        raise
+
+
 def parse_series_csv(path: Path | str) -> SeriesFile:
     """Read a symbol-series CSV (see the module docstring for the format)."""
     path = Path(path)
     alphabet: tuple[int, ...] | None = None
     names: tuple[str, ...] | None = None
-    columns: list[list[int]] = []
+    blocks: list[np.ndarray] = []
+    rows: list[tuple[int, str]] = []
+
+    def convert_rows() -> None:
+        if rows:
+            blocks.append(_symbol_block(rows, len(names)))
+            rows.clear()
+
     with path.open("r", encoding="utf-8") as handle:
         for line_no, raw in enumerate(handle, start=1):
             line = raw.strip()
             if not line:
                 continue
             if line.startswith("#"):
+                # Errors in the rows above this line come first.
+                convert_rows()
                 declared = _parse_alphabet_comment(line, line_no)
                 if declared is not None:
                     if names is not None:
@@ -120,111 +160,111 @@ def parse_series_csv(path: Path | str) -> SeriesFile:
                         )
                     alphabet = declared
                 continue
-            parts = [part.strip() for part in line.split(",")]
             if names is None:
+                parts = [part.strip() for part in line.split(",")]
                 if any(not part for part in parts):
                     raise ParseError(f"line {line_no}: empty column name in header")
                 if len(set(parts)) != len(parts):
                     raise ParseError(f"line {line_no}: duplicate column names")
                 names = tuple(parts)
-                columns = [[] for _ in names]
                 continue
-            if len(parts) != len(names):
-                raise ParseError(
-                    f"line {line_no}: expected {len(names)} fields, got {len(parts)}"
-                )
-            for column, part in zip(columns, parts):
-                try:
-                    column.append(int(part))
-                except ValueError as exc:
-                    raise ParseError(
-                        f"line {line_no}: not an integer symbol: {part!r}"
-                    ) from exc
+            rows.append((line_no, line))
+            if len(rows) == BLOCK_ROWS:
+                convert_rows()
+    convert_rows()
     if names is None:
         raise ParseError("line 1: missing header row")
-    if not columns[0]:
+    if not blocks:
         raise ParseError(f"no data rows under header for {path}")
     if alphabet is not None and len(alphabet) != len(names):
         raise ParseError(
             f"{ALPHABET_KEY} declares {len(alphabet)} columns, header has {len(names)}"
         )
     components = []
-    for position, column in enumerate(columns):
-        values = np.asarray(column, dtype=np.int64)
+    for position, name in enumerate(names):
+        values = np.concatenate([block[:, position] for block in blocks])
         if values.min() < 0:
-            raise ParseError(f"column {names[position]!r} has negative symbols")
+            raise ParseError(f"column {name!r} has negative symbols")
         size = alphabet[position] if alphabet else int(values.max()) + 1
         if values.max() >= size:
             raise ParseError(
-                f"column {names[position]!r} has symbol {int(values.max())} outside "
+                f"column {name!r} has symbol {int(values.max())} outside "
                 f"alphabet of size {size}"
             )
         components.append(SymbolSeries(values, size))
     return SeriesFile(names, JointSeries(tuple(components)))
 
 
+def _column_cells(column: np.ndarray) -> list[str]:
+    """CSV cells of one column: ``str`` of each integer, ``format_float``
+    of each float, computed once per distinct bit pattern."""
+    if column.dtype.kind != "f":
+        return list(map(str, column.tolist()))
+    distinct, codes = np.unique(
+        column.astype(np.float64).view(np.uint64), return_inverse=True
+    )
+    texts = [format_float(value) for value in distinct.view(np.float64).tolist()]
+    return np.array(texts, dtype=object)[codes].tolist()
+
+
+def columns_csv_text(header: Sequence[str], columns: Sequence[np.ndarray]) -> str:
+    """A header line, then one CSV row per index of the equal-length
+    ``columns``; each column's cell format follows its dtype."""
+    chunks = [",".join(header) + "\n"]
+    for start in range(0, len(columns[0]), BLOCK_ROWS):
+        block = [column[start : start + BLOCK_ROWS] for column in columns]
+        cells = [_column_cells(column) for column in block]
+        chunks.append("\n".join(map(",".join, zip(*cells))) + "\n")
+    return "".join(chunks)
+
+
 def series_csv_text(series_file: SeriesFile) -> str:
     """Render a joint series with the alphabet declaration and header."""
-    series = series_file.series
-    sizes = ",".join(str(c.alphabet_size) for c in series.components)
-    lines = [f"# {ALPHABET_KEY}: {sizes}", ",".join(series_file.names)]
-    stacked = np.stack([c.symbols for c in series.components], axis=1)
-    for row in stacked:
-        lines.append(",".join(str(int(v)) for v in row))
-    return "\n".join(lines) + "\n"
+    components = series_file.series.components
+    sizes = ",".join(str(c.alphabet_size) for c in components)
+    return f"# {ALPHABET_KEY}: {sizes}\n" + columns_csv_text(
+        series_file.names, [c.symbols for c in components]
+    )
+
+
+def _episode_csv_text(log, index: str, fields: tuple[str, ...]) -> str:
+    columns = [np.arange(len(log)), *(getattr(log, field) for field in fields)]
+    return columns_csv_text((index, *fields), columns)
 
 
 def triadic_episode_csv_text(log) -> str:
     """Full per-step record of a triadic episode."""
-    lines = ["step,signal,x1,coupling,x2,x3,u1,u2,u3,value"]
-    for t in range(len(log)):
-        fields = [
-            str(t),
-            str(int(log.signal[t])),
-            format_float(float(log.x1[t])),
-            format_float(float(log.coupling[t])),
-            str(int(log.x2[t])),
-            str(int(log.x3[t])),
-            format_float(float(log.u1[t])),
-            format_float(float(log.u2[t])),
-            format_float(float(log.u3[t])),
-            str(int(log.value[t])),
-        ]
-        lines.append(",".join(fields))
-    return "\n".join(lines) + "\n"
+    return _episode_csv_text(
+        log, "step", ("signal", "x1", "coupling", "x2", "x3", "u1", "u2", "u3", "value")
+    )
 
 
 def matching_pennies_episode_csv_text(log) -> str:
     """Full per-trial record of a matching-pennies episode."""
-    lines = ["trial,monkey,computer,monkey_reward,computer_reward"]
-    for t in range(len(log)):
-        fields = [
-            str(t),
-            str(int(log.monkey[t])),
-            str(int(log.computer[t])),
-            str(int(log.monkey_reward[t])),
-            str(int(log.computer_reward[t])),
-        ]
-        lines.append(",".join(fields))
-    return "\n".join(lines) + "\n"
+    return _episode_csv_text(
+        log, "trial", ("monkey", "computer", "monkey_reward", "computer_reward")
+    )
+
+
+def measure_rows(
+    reports: Sequence[MeasureReport], agent_names: Sequence[str]
+) -> list[list[str]]:
+    """Header and one row of cells per lag: tau, joint and per-agent TDMI,
+    excess."""
+    rows = [["tau", "joint_tdmi", *(f"{name}_tdmi" for name in agent_names), "excess"]]
+    for report in reports:
+        if len(report.per_agent_tdmi) != len(agent_names):
+            raise ValueError("agent_names must match the report arity")
+        values = (report.joint_tdmi, *report.per_agent_tdmi, report.excess)
+        rows.append([str(report.tau), *map(format_float, values)])
+    return rows
 
 
 def measures_csv_text(
     reports: Sequence[MeasureReport], agent_names: Sequence[str]
 ) -> str:
     """Tabulate reports: one row per lag, joint and per-agent TDMI, excess."""
-    header = ["tau", "joint_tdmi"]
-    header += [f"{name}_tdmi" for name in agent_names]
-    header.append("excess")
-    lines = [",".join(header)]
-    for report in reports:
-        if len(report.per_agent_tdmi) != len(agent_names):
-            raise ValueError("agent_names must match the report arity")
-        fields = [str(report.tau), format_float(report.joint_tdmi)]
-        fields += [format_float(part) for part in report.per_agent_tdmi]
-        fields.append(format_float(report.excess))
-        lines.append(",".join(fields))
-    return "\n".join(lines) + "\n"
+    return "".join(",".join(row) + "\n" for row in measure_rows(reports, agent_names))
 
 
 def measures_json_payload(
@@ -252,26 +292,3 @@ def measures_json_payload(
 def dump_json_text(payload: dict) -> str:
     """Canonical JSON rendering: sorted keys, two-space indent."""
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def game_table_payload(table: GameTable) -> dict:
-    """JSON-ready game table: per-player flat payoff lists.
-
-    The flat order is the package-wide profile order (player 1 most
-    significant, Cooperate before Defect), stated in the payload so files
-    are self-describing.
-    """
-    return {
-        "n_players": table.n_players,
-        "profile_order": "player 1 most significant; cooperate bit 0",
-        "payoffs": [[float(v) for v in row] for row in table.payoffs],
-    }
-
-
-def game_table_from_payload(payload: dict) -> GameTable:
-    try:
-        n_players = int(payload["n_players"])
-        payoffs = np.asarray(payload["payoffs"], dtype=np.float64)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"malformed game table payload: {exc}") from exc
-    return GameTable(n_players, payoffs)

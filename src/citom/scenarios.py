@@ -22,7 +22,7 @@ order, so identical configurations replay identical episodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np

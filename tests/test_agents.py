@@ -298,15 +298,10 @@ class TestOrchestrator:
     def test_positive_signal_buys_cooperation(self) -> None:
         orch = Orchestrator.calibrated()
         for signal in (1, -1):
-            coupling = orch.emit(signal)
+            coupling = orch.sign * signal * orch.amplitude
             table = effective_game(EffectiveGameParam(coupling))
             action = equilibrium_action(table, 0)
             assert action == (COOPERATE if signal == 1 else DEFECT)
-
-    def test_emission_magnitude(self) -> None:
-        orch = Orchestrator.calibrated(amplitude=0.4)
-        assert orch.emit(1) == pytest.approx(-0.4)
-        assert orch.emit(-1) == pytest.approx(0.4)
 
     def test_validation(self) -> None:
         with pytest.raises(ValueError):
@@ -316,7 +311,5 @@ class TestOrchestrator:
         with pytest.raises(ValueError):
             Orchestrator(1, amplitude=0.6)
         orch = Orchestrator.calibrated()
-        with pytest.raises(ValueError):
-            orch.emit(0)
         with pytest.raises(dataclasses.FrozenInstanceError):
             orch.sign = 1  # type: ignore[misc]

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from citom.cli import PIKL_DEMO_DEFAULTS, main
-from citom.game_core import GameTable
 from citom.info_measures import JointSeries, SymbolSeries, excess_tdmi
 from citom.io import (
     ParseError,
@@ -21,8 +20,6 @@ from citom.io import (
     atomic_write_text,
     dump_json_text,
     format_float,
-    game_table_from_payload,
-    game_table_payload,
     matching_pennies_episode_csv_text,
     measures_csv_text,
     measures_json_payload,
@@ -121,6 +118,7 @@ class TestParseSeriesCsv:
             ("x,\n0,0\n", "line 1: empty column name"),
             ("x,y\n0\n", "line 2: expected 2 fields, got 1"),
             ("x,y\n0,1\n1,oops\n", "line 3: not an integer symbol"),
+            ("x\n0\n99999999999999999999\n", "line 3: not an integer symbol"),
             ("x\n0\n# alphabet_size: 2\n", "line 3: .* must precede the header"),
             ("# alphabet_size: two\nx\n0\n", "line 1: malformed"),
             ("# alphabet_size: 0\nx\n0\n", "line 1: alphabet sizes must be >= 1"),
@@ -202,27 +200,6 @@ class TestMeasureRenderers:
     def test_dump_json_is_canonical(self) -> None:
         text = dump_json_text({"b": 1, "a": [1.5]})
         assert text == '{\n  "a": [\n    1.5\n  ],\n  "b": 1\n}\n'
-
-
-class TestGameTablePayload:
-    def test_round_trip(self) -> None:
-        rng = np.random.default_rng(2)
-        table = GameTable(2, rng.normal(size=(2, 4)))
-        rebuilt = game_table_from_payload(game_table_payload(table))
-        assert rebuilt.n_players == 2
-        np.testing.assert_array_equal(rebuilt.payoffs, table.payoffs)
-
-    def test_payload_survives_json(self) -> None:
-        table = GameTable(2, np.arange(8.0).reshape(2, 4))
-        text = dump_json_text(game_table_payload(table))
-        rebuilt = game_table_from_payload(json.loads(text))
-        np.testing.assert_array_equal(rebuilt.payoffs, table.payoffs)
-
-    def test_malformed_payload(self) -> None:
-        with pytest.raises(ParseError):
-            game_table_from_payload({"payoffs": [[0.0]]})
-        with pytest.raises(ParseError):
-            game_table_from_payload({"n_players": 2, "payoffs": "oops"})
 
 
 class TestCliSimulate:
@@ -427,6 +404,19 @@ class TestCliFailureModes:
             ["pikl-demo", "--config", str(config_path), "--out", str(tmp_path / "o")]
         )
         assert code == 1
+        for override, key in [
+            ({"state": 5}, "state"),
+            ({"lambda_anchor": None}, "lambda_anchor"),
+            ({"type_labels": 3}, "type_labels"),
+        ]:
+            capsys.readouterr()
+            config_path.write_text(json.dumps(override))
+            code = main(
+                ["pikl-demo", "--config", str(config_path), "--out", str(tmp_path / "o")]
+            )
+            assert code == 1, override
+            err = capsys.readouterr().err
+            assert err.count("error:") == 1 and f"'{key}'" in err, err
 
     def test_help_exits_zero(self, capsys) -> None:
         assert main(["--help"]) == 0

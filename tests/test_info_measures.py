@@ -107,8 +107,7 @@ class TestLagPairDistribution:
         dist = LagPairDistribution.from_counts(np.array([[3, 1], [0, 4]]), 1)
         assert float(dist.probabilities.sum()) == pytest.approx(1.0, abs=0)
         assert dist.sample_count == 8
-        assert dist.present_marginal().tolist() == [0.5, 0.5]
-        assert dist.lagged_marginal().tolist() == [0.375, 0.625]
+        assert dist.probabilities.tolist() == [[0.375, 0.125], [0.0, 0.5]]
 
     def test_rejects_bad_inputs(self) -> None:
         with pytest.raises(ValueError):

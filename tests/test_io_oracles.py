@@ -1,0 +1,194 @@
+"""Block-wise CSV writer and parser against their row-by-row references.
+
+``io_reference`` holds the per-row writers and the line-by-line parser;
+the production code must give the same bytes, the same parsed series and
+the same ``ParseError`` messages on random inputs, including lengths
+that cross a ``BLOCK_ROWS`` boundary.
+"""
+
+from __future__ import annotations
+
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import io_reference as reference
+from citom.io import (
+    BLOCK_ROWS,
+    ParseError,
+    SeriesFile,
+    columns_csv_text,
+    matching_pennies_episode_csv_text,
+    parse_series_csv,
+    series_csv_text,
+    triadic_episode_csv_text,
+)
+from citom.scenarios import (
+    MatchingPenniesConfig,
+    TriadicConfig,
+    run_matching_pennies,
+    run_triadic,
+)
+
+
+SPECIAL_FLOATS = [
+    0.0, -0.0, -1e-9, 1e-9, -4e-7, 5e-7, -5e-7, 0.0390625, -0.1171875, 1e15, -1e17,
+    1e300, float("inf"), float("-inf"), float("nan"), -float("nan"),
+]
+FLOATS = st.one_of(
+    st.sampled_from(SPECIAL_FLOATS),
+    # j * 5/128 is exactly halfway between two six-decimal values for odd j.
+    st.integers(-10**6, 10**6).map(lambda j: j * 5 / 128),
+    # Decimal halfway points, which binary floats sit just off.
+    st.integers(-10**7, 10**7).map(lambda k: k / 1e6 + 5e-7),
+    st.floats(),
+)
+
+INT_DTYPES = (np.int64, np.int32, np.uint8)
+
+
+@st.composite
+def column(draw, length: int) -> np.ndarray:
+    """``length`` values drawn with repetition from a small random pool."""
+    if draw(st.booleans()):
+        pool = np.array(draw(st.lists(FLOATS, min_size=1, max_size=12)))
+    else:
+        dtype = draw(st.sampled_from(INT_DTYPES))
+        info = np.iinfo(dtype)
+        values = st.integers(int(info.min), int(info.max))
+        pool = np.array(draw(st.lists(values, min_size=1, max_size=12)), dtype=dtype)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.choice(pool, size=length)
+
+
+@st.composite
+def columns(draw) -> list[np.ndarray]:
+    length = draw(st.integers(0, 12))
+    return [draw(column(length)) for _ in range(draw(st.integers(1, 4)))]
+
+
+class TestWriterMatchesReference:
+    @settings(max_examples=60, deadline=None)
+    @given(columns())
+    def test_random_int_and_float_columns(self, cols: list[np.ndarray]) -> None:
+        header = [f"c{i}" for i in range(len(cols))]
+        assert columns_csv_text(header, cols) == reference.columns_csv_text(header, cols)
+
+    @pytest.mark.parametrize(
+        "length", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3]
+    )
+    def test_lengths_around_block_boundaries(self, length: int) -> None:
+        rng = np.random.default_rng(length)
+        cols = [
+            np.arange(length),
+            rng.choice(np.array(SPECIAL_FLOATS), size=length),
+            rng.normal(scale=1e-5, size=length),
+            rng.integers(-3, 3, size=length).astype(np.int32),
+        ]
+        header = ["step", "special", "small", "int"]
+        assert columns_csv_text(header, cols) == reference.columns_csv_text(header, cols)
+
+    @settings(max_examples=6, deadline=None)
+    @given(
+        st.sampled_from("ab"),
+        st.integers(2, 2 * BLOCK_ROWS + 3),
+        st.integers(0, 3),
+        st.integers(0, 1000),
+    )
+    def test_triadic_episode_and_series(
+        self, mode: str, steps: int, delay: int, seed: int
+    ) -> None:
+        log = run_triadic(
+            TriadicConfig(mode=mode, steps=steps, seed=seed, delay=delay, taus=(1,))
+        )
+        assert triadic_episode_csv_text(log) == reference.triadic_episode_csv_text(log)
+        series = SeriesFile(log.agent_names, log.joint_series())
+        assert series_csv_text(series) == reference.series_csv_text(series)
+
+    @settings(max_examples=4, deadline=None)
+    @given(st.sampled_from([0, 1, 2]), st.sampled_from([2, 9, BLOCK_ROWS + 1]))
+    def test_matching_pennies_episode(self, algorithm_id: int, steps: int) -> None:
+        log = run_matching_pennies(
+            MatchingPenniesConfig(algorithm_id=algorithm_id, steps=steps, taus=(1,))
+        )
+        assert matching_pennies_episode_csv_text(
+            log
+        ) == reference.matching_pennies_episode_csv_text(log)
+
+
+# Token spellings that int() accepts.
+TOKEN_FORMS = (
+    lambda v: f"+{v}",
+    lambda v: f" {v} ",
+    lambda v: f"\t{v}",
+    lambda v: f"0{v}",
+    lambda v: f"{v}_0" if v else "0_0",
+)
+# Replacements for a whole data row that make it malformed.
+CORRUPTIONS = (
+    lambda row: row + ",0",
+    lambda row: row.rpartition(",")[0] or ",",
+    lambda row: row.replace("0", "x", 1) if "0" in row else "x" + row,
+    lambda row: row + ",1.0",
+    lambda row: "-1" + row[row.find(",") :] if "," in row else "-1",
+    lambda row: "99" + row[row.find(",") :] if "," in row else "99",
+)
+# Lines the parser skips, or rejects when they follow the header.
+EXTRA_LINES = ("", "   ", "#", "# a note", "# alphabet_size: 3", "# alphabet_size: x")
+
+
+@st.composite
+def series_texts(draw) -> str:
+    width = draw(st.integers(1, 4))
+    n_rows = draw(st.one_of(st.integers(1, 20), st.sampled_from([BLOCK_ROWS + 2])))
+    sizes = [draw(st.integers(1, 11)) for _ in range(width)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    symbols = rng.integers(0, sizes, (n_rows, width)).tolist()
+    cells = [[str(v) for v in row] for row in symbols]
+    for _ in range(draw(st.integers(0, 6))):
+        row, col = draw(st.integers(0, n_rows - 1)), draw(st.integers(0, width - 1))
+        cells[row][col] = draw(st.sampled_from(TOKEN_FORMS))(int(cells[row][col]))
+    lines = [",".join(row) for row in cells]
+    for _ in range(draw(st.integers(0, 2))):
+        row = draw(st.integers(0, n_rows - 1))
+        lines[row] = draw(st.sampled_from(CORRUPTIONS))(lines[row])
+    extra = st.tuples(st.integers(0, n_rows), st.sampled_from(EXTRA_LINES))
+    extras = draw(st.lists(extra, max_size=4))
+    for position, text in sorted(extras, reverse=True):
+        lines.insert(position, text)
+    header = [",".join(f" a{i}" for i in range(width))]
+    declared = draw(st.sampled_from(["none", "exact", "larger", "smaller", "count"]))
+    if declared != "none":
+        shift = {"exact": 0, "larger": 2, "smaller": -1, "count": 0}[declared]
+        declared_sizes = [max(1, size + shift) for size in sizes]
+        if declared == "count":
+            declared_sizes.append(2)
+        text = ",".join(map(str, declared_sizes))
+        header = [f"# alphabet_size: {text}", "", *header]
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(["# produced by a test", *header, *lines]) + newline
+
+
+def parse_outcome(parse, path: Path):
+    """The parsed names and columns, or the ParseError message."""
+    try:
+        parsed = parse(path)
+    except ParseError as exc:
+        return str(exc)
+    columns = [(c.symbols.tolist(), c.alphabet_size) for c in parsed.series.components]
+    return parsed.names, columns
+
+
+class TestParserMatchesReference:
+    @settings(max_examples=120, deadline=None)
+    @given(series_texts())
+    def test_same_series_or_same_error(self, text: str) -> None:
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "series.csv"
+            path.write_bytes(text.encode("utf-8"))
+            expected = parse_outcome(reference.parse_series_csv, path)
+            assert parse_outcome(parse_series_csv, path) == expected
