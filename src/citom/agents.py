@@ -4,9 +4,13 @@ Matching pennies pits a reward-driven learner (the "monkey") against a
 computer opponent that escalates through three algorithms: algorithm 0
 plays uniformly at random, algorithm 1 tests the learner's recent choice
 patterns for bias, and algorithm 2 additionally tests choice-and-reward
-patterns.  Both tests are exact two-sided binomial tests against 0.5;
-while the null is retained the predictor behaves exactly like algorithm
-0, which the constructor's injectable ``pvalue_fn`` lets tests force.
+patterns.  Both tests are exact two-sided binomial tests against 0.5,
+computed from an exact integer tail sum; the integer states live in a
+bounded least-recently-used cache keyed by ``(tail, trials)``, so a count
+that moves by one trial per visit costs one integer step instead of a
+fresh sum.  While the null is retained the predictor behaves exactly like
+algorithm 0, which the constructor's injectable ``pvalue_fn`` lets tests
+force.
 
 The orchestrated triad couples a signal-following orchestrator to two
 myopic workers who always play the unique strict pure equilibrium of the
@@ -16,12 +20,12 @@ status-quo action when no unique strict equilibrium exists).
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from math import exp
 from typing import Callable
 
 import numpy as np
-from scipy.special import bdtr
 
 from .game_core import (
     COOPERATE,
@@ -41,23 +45,64 @@ __all__ = [
 ]
 
 
+# Tail states by ``(tail, trials)``: ``(S, C(trials, tail), p-value)`` with
+# ``S`` the exact sum of ``C(trials, i)`` over ``i <= tail``.
+_TAIL_CACHE_SIZE = 4096
+_tail_states: OrderedDict[tuple[int, int], tuple[int, int, float]] = OrderedDict()
+
+
 def binomial_pvalue_half(successes: int, trials: int) -> float:
     """Exact two-sided binomial p-value against p = 0.5.
 
     At the symmetric null the minimum-likelihood two-sided test doubles
-    the tail of the less frequent outcome, so the closed form
-    ``min(1, 2 * BinomCDF(min(k, n - k), n, 1/2))`` is exact (and far
-    faster than a generic binomial-test routine).  A perfectly balanced
-    count has p-value 1.
+    the tail of the less frequent outcome, so the p-value is
+    ``min(1, 2 * sum(C(n, i) for i <= t) / 2**n)`` with ``t = min(k, n - k)``.
+    The sum is kept as an exact integer and the result is that rational
+    correctly rounded to a float; a perfectly balanced count has p-value 1.
+
+    Integer states are cached per ``(t, n)`` in a least-recently-used
+    cache of ``_TAIL_CACHE_SIZE`` entries (a hit refreshes the entry).  A
+    miss whose ``(t, n - 1)`` or ``(t - 1, n - 1)`` state is cached takes
+    one step from it, which is the common case for a count that grows by
+    one trial at a time; otherwise the sum is built from scratch.
     """
-    if trials < 0 or not 0 <= successes <= trials:
+    if not 0 <= successes <= trials:
         raise ValueError(f"need 0 <= successes <= trials, got {successes}/{trials}")
-    if trials == 0:
-        return 1.0
-    tail = min(successes, trials - successes)
-    if 2 * tail == trials:
-        return 1.0
-    return min(1.0, 2.0 * float(bdtr(float(tail), trials, 0.5)))
+    failures = trials - successes
+    key = (successes if successes < failures else failures, trials)
+    # Taking the entry out and putting it back makes it the most recent.
+    state = _tail_states.pop(key, None)
+    if state is None:
+        state = _tail_state(int(key[0]), int(trials))
+        if len(_tail_states) >= _TAIL_CACHE_SIZE:
+            _tail_states.popitem(last=False)
+    _tail_states[key] = state
+    return state[2]
+
+
+def _tail_state(t: int, n: int) -> tuple[int, int, float]:
+    """``(S, C(n, t), p-value)`` of tail ``t`` at ``n`` trials, ``2t <= n``."""
+    previous = _tail_states.get((t, n - 1))
+    if previous is not None:
+        # S(t, n) = S(t, n-1) + S(t-1, n-1) = 2 S(t, n-1) - C(n-1, t).
+        below, coefficient, _ = previous
+        total = 2 * below - coefficient
+        coefficient = coefficient * n // (n - t)
+    elif t and (previous := _tail_states.get((t - 1, n - 1))) is not None:
+        # S(t, n) = 2 S(t-1, n-1) + C(n-1, t).
+        below, coefficient, _ = previous
+        total = 2 * below + coefficient * (n - t) // t
+        coefficient = coefficient * n // t
+    else:
+        total = coefficient = 1
+        for i in range(1, t + 1):
+            coefficient = coefficient * (n - i + 1) // i
+            total += coefficient
+    # Balanced counts (n = 0 included) have p-value 1.  Otherwise the
+    # doubled tail is at most 1 (exactly 1 at t = (n-1)/2), and int / int
+    # rounds correctly.
+    pvalue = 1.0 if 2 * t == n else total / (1 << (n - 1))
+    return total, coefficient, pvalue
 
 
 @dataclass
@@ -112,19 +157,22 @@ class MatchingPenniesPredictor:
         """Probability of playing action 1 at the current history."""
         if self.algorithm_id == 0 or self._trials < self.context_length + 1:
             return 0.5
-        candidates: list[tuple[float, int, float]] = []
+        response = 0.5
+        # A statistic is exploited when it rejects at a p-value below the
+        # best so far, so the pair statistic wins only a strictly smaller one.
+        best = self.significance_level
         ones, total = self._choice_table[self._choice_ctx]
         if total:
-            candidates.append((self.pvalue_fn(ones, total), 0, ones / total))
+            pvalue = self.pvalue_fn(ones, total)
+            if pvalue < best:
+                best, response = pvalue, 1.0 - ones / total
         if self.algorithm_id == 2:
             ones, total = self._pair_table[self._pair_ctx]
             if total:
-                candidates.append((self.pvalue_fn(ones, total), 1, ones / total))
-        rejected = [c for c in candidates if c[0] < self.significance_level]
-        if not rejected:
-            return 0.5
-        _, _, bias = min(rejected, key=lambda c: (c[0], c[1]))
-        return 1.0 - bias
+                pvalue = self.pvalue_fn(ones, total)
+                if pvalue < best:
+                    response = 1.0 - ones / total
+        return response
 
     def choose(self, rng: np.random.Generator) -> int:
         """Draw the computer's action for the current trial."""

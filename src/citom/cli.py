@@ -311,6 +311,11 @@ def run_pikl_demo(config: dict, mode: ObjectiveMode) -> dict:
         lambda_tom=_config_value(config, "lambda_tom", float),
     )
     anchor = Policy(_config_value(config, "anchor_policy"), "sa")
+    if params.q_values.shape[0] != anchor.table.shape[0]:
+        raise ParseError(
+            f"config keys 'q_values' and 'anchor_policy': {params.q_values.shape[0]} "
+            f"and {anchor.table.shape[0]} state rows differ"
+        )
     pikl_rows = np.stack(
         [
             pikl_best_response(params.q_values[s], anchor.table[s], params.lambda_anchor)

@@ -264,9 +264,13 @@ def run_matching_pennies(config: MatchingPenniesConfig) -> MatchingPenniesLog:
     monkey = np.empty(steps, dtype=np.int64)
     computer = np.empty(steps, dtype=np.int64)
     monkey_reward = np.empty(steps, dtype=np.int64)
-    for t in range(steps):
-        c = predictor.choose(rng)
-        m = learner.choose(rng)
+    # Both agents' ``choose`` draw one uniform each, computer first; one
+    # batched draw yields the same stream: 2t for the computer, 2t+1 for
+    # the learner.
+    draws = iter(rng.random(2 * steps).tolist())
+    for t, (computer_draw, monkey_draw) in enumerate(zip(draws, draws)):
+        c = 1 if computer_draw < predictor.response_probability() else 0
+        m = 1 if monkey_draw < learner.action_probability() else 0
         reward = 1 if m == c else 0
         predictor.observe(m, reward)
         learner.update(m, float(reward))

@@ -21,7 +21,6 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from citom.agents import binomial_pvalue_half
 from citom.cli import main
 from citom.game_core import (
     COOPERATE,

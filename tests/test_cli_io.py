@@ -408,6 +408,7 @@ class TestCliFailureModes:
             ({"state": 5}, "state"),
             ({"lambda_anchor": None}, "lambda_anchor"),
             ({"type_labels": 3}, "type_labels"),
+            ({"q_values": [[1.0, 0.0], [1.0, 0.0]]}, "q_values"),
         ]:
             capsys.readouterr()
             config_path.write_text(json.dumps(override))
