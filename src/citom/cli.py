@@ -17,7 +17,8 @@ series; ``pikl-demo`` writes ``report.json``.  Each command prints a
 summary table (lag, joint TDMI, per-agent TDMI, excess) to stdout.
 
 Exit status: 0 on success, 2 on usage errors (bad flags or values), 1 on
-runtime failures (unreadable or malformed files).  Given the same
+runtime failures (unreadable or malformed files, alphabets too large to
+count, or not enough memory).  Given the same
 configuration and seed, two invocations produce byte-identical
 artifacts.
 """
@@ -385,8 +386,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.handler(args, parser)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (ParseError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ParseError, OSError, ValueError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

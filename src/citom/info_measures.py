@@ -17,6 +17,18 @@ The excess TDMI of a joint series at lag ``tau`` is::
 where ``X`` is the tuple of per-agent symbols and ``X^i`` the i-th
 component on its own.  Negative excess is meaningful (the whole can be
 less predictable than its parts) and is reported, never clamped.
+
+``tdmi`` and ``excess_tdmi`` count only the occupied cells of the
+``K x K`` lag-pair table, where ``K`` is the (joint) alphabet size, so
+they use memory proportional to ``T + K`` plus one chunk of about 2**20
+table cells, never ``K * K``.  Their results are bit-identical to the
+dense estimator that ``build_lag_pairs`` and ``mutual_information`` still
+expose: cell probabilities are the same quotients, and the marginals are
+the same numpy reductions over the same row contents, because each chunk
+of occupied rows is scattered into a dense ``K``-wide buffer and summed
+there.  Marginals from exact integer counts would be closer to the truth
+but would change the last bit of many results, and with it the bytes of
+``measures.json``.  Counting requires ``K * K < 2**63``.
 """
 
 from __future__ import annotations
@@ -36,6 +48,12 @@ __all__ = [
     "tdmi",
     "excess_tdmi",
 ]
+
+# Codes and squared alphabets must stay below this to fit in int64.
+_INT64_LIMIT = 2**63
+
+# Table cells in one chunk of the marginal buffer (see ``_marginals``).
+_CHUNK_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -110,12 +128,20 @@ class JointSeries:
         """Collapse to a single series of mixed-radix joint symbols.
 
         The code of step ``t`` is ``(...(s_1 * k_2 + s_2) * k_3 + ...)``,
-        i.e. agent 1 is the most significant digit.
+        i.e. agent 1 is the most significant digit.  Raises ``ValueError``
+        when the joint alphabet has ``2**63`` symbols or more, because the
+        codes would not fit in int64.
         """
+        size = self.joint_alphabet_size
+        if size >= _INT64_LIMIT:
+            raise ValueError(
+                f"joint alphabet of {size} symbols is too large to encode: "
+                f"the product of the alphabet sizes must be < 2**63"
+            )
         codes = np.zeros(len(self), dtype=np.int64)
         for comp in self.components:
             codes = codes * comp.alphabet_size + comp.symbols
-        return SymbolSeries(codes, self.joint_alphabet_size)
+        return SymbolSeries(codes, size)
 
 
 @dataclass(frozen=True)
@@ -188,14 +214,14 @@ class MeasureReport:
         object.__setattr__(self, "excess", self.joint_tdmi - total)
 
 
-def build_lag_pairs(
+def _occupied_cells(
     series: SymbolSeries | JointSeries, tau: int
-) -> LagPairDistribution:
-    """Empirical joint distribution of (symbol at t, symbol at t - tau).
+) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """Occupied cells of the (present, lagged) table, in row-major order.
 
-    Pairs are formed for every ``t`` in ``[tau, T)``, so the first ``tau``
-    steps contribute only as lagged partners and ``T - tau`` pairs are
-    counted.  Requires ``1 <= tau < T``.
+    Returns ``(k, rows, cols, probs)``: the alphabet size and, per
+    occupied cell, its row (present symbol), column (lagged symbol) and
+    probability ``count / (T - tau)``.
     """
     if isinstance(series, JointSeries):
         series = series.encode()
@@ -203,10 +229,92 @@ def build_lag_pairs(
     if not 1 <= tau < length:
         raise ValueError(f"tau must satisfy 1 <= tau < {length}, got {tau}")
     k = series.alphabet_size
-    present = series.symbols[tau:]
-    lagged = series.symbols[:-tau]
-    counts = np.bincount(present * k + lagged, minlength=k * k).reshape(k, k)
-    return LagPairDistribution.from_counts(counts, tau)
+    if k * k >= _INT64_LIMIT:
+        raise ValueError(
+            f"alphabet of {k} symbols is too large to count lag pairs: "
+            f"its square must be < 2**63"
+        )
+    codes = series.symbols[tau:] * k + series.symbols[:-tau]
+    # A table with no more cells than pairs is cheaper to count than to sort.
+    if k * k <= codes.size:
+        table = np.bincount(codes, minlength=k * k)
+        cells = np.flatnonzero(table)
+        counts = table[cells]
+    else:
+        cells, counts = np.unique(codes, return_counts=True)
+    total = int(counts.sum())
+    if total == 0:
+        raise ValueError("counts must contain at least one observation")
+    probs = counts / total
+    mass = float(probs.sum())
+    if abs(mass - 1.0) > 1e-9:
+        raise ValueError(f"probabilities must sum to 1, got {mass!r}")
+    rows, cols = np.divmod(cells, k)
+    return k, rows, cols, probs
+
+
+def _marginals(
+    k: int, rows: np.ndarray, cols: np.ndarray, probs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both marginals of occupied cells, bit for bit as the dense table's.
+
+    Returns the present marginal of each cell's row and the lagged
+    marginal of each cell's column.  The occupied rows are scattered a
+    chunk at a time into one dense ``K``-wide buffer, so every row is
+    summed by ``sum(axis=1)`` over the same ``K`` values as in the dense
+    table, and row 0 of the buffer carries the column sums from chunk to
+    chunk, so each column is summed in the same row order.
+    """
+    new_row = np.empty(rows.size, dtype=bool)
+    new_row[0] = True
+    np.not_equal(rows[1:], rows[:-1], out=new_row[1:])
+    bounds = np.concatenate((np.flatnonzero(new_row), [rows.size]))
+    ranks = np.cumsum(new_row) - 1
+    n_rows = bounds.size - 1
+    per_chunk = min(max(1, _CHUNK_CELLS // k), n_rows)
+    buffer = np.zeros((1 + per_chunk, k))
+    row_sums = np.empty(n_rows)
+    for first in range(0, n_rows, per_chunk):
+        last = min(first + per_chunk, n_rows)
+        cells = slice(bounds[first], bounds[last])
+        local = 1 + ranks[cells] - first
+        buffer[local, cols[cells]] = probs[cells]
+        used = buffer[: 1 + last - first]
+        row_sums[first:last] = used[1:].sum(axis=1)
+        column_sums = used.sum(axis=0)
+        buffer[local, cols[cells]] = 0.0
+        buffer[0] = column_sums
+    return row_sums[ranks], buffer[0][cols]
+
+
+def _cell_mutual_information(
+    probs: np.ndarray, present: np.ndarray, lagged: np.ndarray
+) -> float:
+    """Plug-in MI in bits from occupied cells, clamped at 0.
+
+    ``probs`` holds the cells in row-major order, ``present`` and
+    ``lagged`` the marginals of each cell's row and column; see
+    ``mutual_information`` for the clamp.
+    """
+    product = present * lagged
+    mi = float((probs * np.log2(probs / product)).sum())
+    return max(mi, 0.0)
+
+
+def build_lag_pairs(
+    series: SymbolSeries | JointSeries, tau: int
+) -> LagPairDistribution:
+    """Empirical joint distribution of (symbol at t, symbol at t - tau).
+
+    Pairs are formed for every ``t`` in ``[tau, T)``, so the first ``tau``
+    steps contribute only as lagged partners and ``T - tau`` pairs are
+    counted.  Requires ``1 <= tau < T``.  The table is dense, ``K x K``;
+    ``tdmi`` gives its mutual information without building it.
+    """
+    k, rows, cols, probs = _occupied_cells(series, tau)
+    table = np.zeros((k, k))
+    table[rows, cols] = probs
+    return LagPairDistribution(table, tau, len(series) - tau)
 
 
 def entropy(probabilities: np.ndarray) -> float:
@@ -225,17 +333,20 @@ def mutual_information(distribution: LagPairDistribution) -> float:
     point round-off.
     """
     probs = distribution.probabilities
-    marg_present = probs.sum(axis=1)
-    marg_lagged = probs.sum(axis=0)
-    product = np.outer(marg_present, marg_lagged)
-    nz = probs > 0.0
-    mi = float((probs[nz] * np.log2(probs[nz] / product[nz])).sum())
-    return max(mi, 0.0)
+    rows, cols = np.nonzero(probs > 0.0)
+    return _cell_mutual_information(
+        probs[rows, cols], probs.sum(axis=1)[rows], probs.sum(axis=0)[cols]
+    )
 
 
 def tdmi(series: SymbolSeries | JointSeries, tau: int) -> float:
-    """Time-delayed mutual information ``I(X_t ; X_{t-tau})`` in bits."""
-    return mutual_information(build_lag_pairs(series, tau))
+    """Time-delayed mutual information ``I(X_t ; X_{t-tau})`` in bits.
+
+    Equal, bit for bit, to ``mutual_information(build_lag_pairs(series,
+    tau))``, without building the ``K x K`` table.
+    """
+    k, rows, cols, probs = _occupied_cells(series, tau)
+    return _cell_mutual_information(probs, *_marginals(k, rows, cols, probs))
 
 
 def excess_tdmi(joint: JointSeries, tau: int) -> MeasureReport:

@@ -297,6 +297,16 @@ class TestCliSimulate:
         assert payload["measures"][0]["joint_tdmi"] == report.joint_tdmi
 
 
+    def test_measure_large_declared_alphabet(self, tmp_path: Path) -> None:
+        # A joint alphabet of 10**6 symbols: the dense lag-pair table of
+        # 10**12 cells used to end in an allocation traceback.
+        path = write_series(tmp_path, "# alphabet_size: 1000,1000\nx,y\n0,999\n999,0\n0,999\n")
+        out = tmp_path / "out"
+        assert main(["measure", "--input", str(path), "--taus", "1,2", "--out", str(out)]) == 0
+        payload = json.loads((out / "measures.json").read_text())
+        assert [entry["joint_tdmi"] for entry in payload["measures"]] == [1.0, 0.0]
+
+
 class TestCliPiklDemo:
     def test_default_instance(self, tmp_path: Path, capsys) -> None:
         out = tmp_path / "demo"
@@ -418,6 +428,33 @@ class TestCliFailureModes:
             assert code == 1, override
             err = capsys.readouterr().err
             assert err.count("error:") == 1 and f"'{key}'" in err, err
+
+    @pytest.mark.parametrize("agents", [40, 64])
+    def test_alphabet_too_large_exits_one(
+        self, tmp_path: Path, capsys, agents: int
+    ) -> None:
+        rows = "\n".join(",".join(str((t + i) % 2) for i in range(agents)) for t in range(20))
+        header = ",".join(f"a{i}" for i in range(agents))
+        path = write_series(
+            tmp_path, f"# alphabet_size: {','.join(['2'] * agents)}\n{header}\n{rows}\n"
+        )
+        code = main(["measure", "--input", str(path), "--out", str(tmp_path / "o")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.count("error:") == 1 and "too large" in captured.err
+        assert captured.err.count("\n") == 1
+
+    def test_out_of_memory_exits_one(
+        self, tmp_path: Path, capsys, monkeypatch: pytest.MonkeyPatch
+    ) -> None:
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr("citom.cli.excess_tdmi", exhausted)
+        path = write_series(tmp_path, "x\n0\n1\n0\n1\n")
+        code = main(["measure", "--input", str(path), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: out of memory\n"
 
     def test_help_exits_zero(self, capsys) -> None:
         assert main(["--help"]) == 0

@@ -3,12 +3,20 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from collections import Counter
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from citom import info_measures
 from citom.info_measures import (
     JointSeries,
     LagPairDistribution,
@@ -235,3 +243,100 @@ class TestExcessTdmi:
         component = _series([t % 2 for t in range(101)], 2)
         report = excess_tdmi(JointSeries((component, component)), 1)
         assert report.excess == -1.0
+
+
+def _binary_agents(count: int, steps: int, seed: int) -> JointSeries:
+    # Noisy copies of one source, so that some joint states recur.
+    rng = np.random.default_rng(seed)
+    source = rng.integers(0, 2, size=steps)
+    return JointSeries(
+        tuple(
+            SymbolSeries(source ^ (rng.random(steps) < 0.2), 2) for _ in range(count)
+        )
+    )
+
+
+def _fsum_tdmi(codes: list[int], tau: int) -> float:
+    """Plug-in TDMI from exact rational ratios, summed with ``math.fsum``."""
+    present, lagged = codes[tau:], codes[:-tau]
+    n = len(present)
+    present_counts, lagged_counts = Counter(present), Counter(lagged)
+    return math.fsum(
+        count / n * math.log2(Fraction(count * n, present_counts[a] * lagged_counts[b]))
+        for (a, b), count in Counter(zip(present, lagged)).items()
+    )
+
+
+class TestLargeAlphabets:
+    def test_twenty_binary_agents_exact(self) -> None:
+        # K = 2**20: the dense table would need 8 TiB.
+        joint = _binary_agents(20, 1000, seed=2)
+        report = excess_tdmi(joint, 1)
+        codes = [
+            int("".join(str(int(c.symbols[t])) for c in joint.components), 2)
+            for t in range(len(joint))
+        ]
+        expected_joint = _fsum_tdmi(codes, 1)
+        expected_parts = [_fsum_tdmi(c.symbols.tolist(), 1) for c in joint.components]
+        assert report.joint_tdmi == pytest.approx(expected_joint, abs=1e-12)
+        assert report.excess == pytest.approx(
+            expected_joint - math.fsum(expected_parts), abs=1e-12
+        )
+
+    def test_forty_binary_agents_rejected(self) -> None:
+        # K = 2**40 encodes, but K * K does not fit in int64.
+        joint = _binary_agents(40, 100, seed=3)
+        with pytest.raises(ValueError, match="too large to count"):
+            excess_tdmi(joint, 1)
+
+    def test_sixty_four_binary_agents_rejected(self) -> None:
+        # K = 2**64 codes would wrap in int64.
+        joint = _binary_agents(64, 100, seed=4)
+        with pytest.raises(ValueError, match="too large to encode"):
+            joint.encode()
+        with pytest.raises(ValueError, match="too large to encode"):
+            excess_tdmi(joint, 1)
+
+    def test_large_alphabet_few_steps(self) -> None:
+        series = _series([999_999, 0, 999_999, 0, 999_999], 1_000_000)
+        assert tdmi(series, 1) == 1.0
+        with pytest.raises(ValueError, match="too large to count"):
+            tdmi(_series([0, 1, 0], 2**32), 1)
+
+
+class TestResourceBounds:
+    @pytest.mark.parametrize(
+        ("agents", "steps", "bound"),
+        [
+            # One dense 4096 x 4096 float table is 134 MB.
+            (12, 50_000, 32 * 2**20),
+            # The marginal buffer holds only the rows that occur, not a
+            # full chunk of 2**20 cells (8 MiB).
+            (3, 10_000, 2**20),
+        ],
+    )
+    def test_peak_memory(self, agents: int, steps: int, bound: int) -> None:
+        joint = _binary_agents(agents, steps, seed=6)
+        tracemalloc.start()
+        try:
+            excess_tdmi(joint, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+
+    def test_measuring_loads_no_numpy_ma(self) -> None:
+        src = str(Path(info_measures.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        ))
+        code = (
+            "import sys\n"
+            "from citom.scenarios import MatchingPenniesConfig, measure_log, run_matching_pennies\n"
+            "measure_log(run_matching_pennies(MatchingPenniesConfig(2, steps=2000)))\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert result.stdout.strip() == "False"

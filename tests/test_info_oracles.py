@@ -1,0 +1,149 @@
+"""Occupied-cell TDMI against the dense reference estimator.
+
+``info_reference`` holds the dense ``K x K`` lag-pair table and the MI
+taken over it.  ``tdmi`` and ``excess_tdmi`` count occupied cells only,
+through either counting branch and any chunk size of the marginal
+buffer, and must still return the reference's floats bit for bit
+(``==``): ``measures.json`` writes them with ``repr``.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import info_reference as reference
+from citom import info_measures
+from citom.info_measures import (
+    JointSeries,
+    LagPairDistribution,
+    MeasureReport,
+    SymbolSeries,
+    build_lag_pairs,
+    excess_tdmi,
+    mutual_information,
+    tdmi,
+)
+
+# Cells per chunk of the marginal buffer: one cell (one row per chunk),
+# sizes that leave partial chunks, and the default.
+CHUNKS = st.sampled_from([1, 7, 64, info_measures._CHUNK_CELLS])
+
+SHAPES = ("uniform", "zipf", "few")
+
+
+def symbols(shape: str, alphabet: int, length: int, seed: int) -> np.ndarray:
+    """A series drawn so that, except when uniform, most symbols never occur."""
+    rng = np.random.default_rng(seed)
+    if shape == "uniform":
+        return rng.integers(0, alphabet, size=length)
+    if shape == "zipf":
+        return (rng.zipf(1.4, size=length) - 1) % alphabet
+    palette = rng.integers(0, alphabet, size=int(rng.integers(1, 4)))
+    return rng.choice(palette, size=length)
+
+
+@st.composite
+def series_and_lag(draw, max_alphabet: int = 3000) -> tuple[SymbolSeries, int]:
+    alphabet = draw(st.one_of(st.integers(1, 40), st.integers(41, max_alphabet)))
+    length = draw(st.integers(2, 2500))
+    shape = draw(st.sampled_from(SHAPES))
+    seed = draw(st.integers(0, 2**32 - 1))
+    tau = draw(st.integers(1, length - 1))
+    return SymbolSeries(symbols(shape, alphabet, length, seed), alphabet), tau
+
+
+@st.composite
+def joint_and_lag(draw) -> tuple[JointSeries, int]:
+    length = draw(st.integers(2, 1500))
+    components = []
+    joint_alphabet = 1
+    for _ in range(draw(st.integers(1, 4))):
+        alphabet = draw(st.integers(1, max(1, min(12, 3000 // joint_alphabet))))
+        joint_alphabet *= alphabet
+        shape = draw(st.sampled_from(SHAPES))
+        seed = draw(st.integers(0, 2**32 - 1))
+        components.append(SymbolSeries(symbols(shape, alphabet, length, seed), alphabet))
+    tau = draw(st.integers(1, length - 1))
+    return JointSeries(tuple(components)), tau
+
+
+class TestTdmi:
+    @settings(max_examples=120, deadline=None)
+    @given(case=series_and_lag(), chunk=CHUNKS)
+    def test_matches_reference(self, case: tuple[SymbolSeries, int], chunk: int) -> None:
+        series, tau = case
+        expected = reference.tdmi(series, tau)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(info_measures, "_CHUNK_CELLS", chunk)
+            assert tdmi(series, tau) == expected
+
+    @pytest.mark.parametrize(
+        ("alphabet", "length", "branch"),
+        [(2, 1000, "bincount"), (31, 1000, "bincount"), (32, 1000, "unique"), (2900, 3000, "unique")],
+    )
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("chunk", [1, 7, 64, info_measures._CHUNK_CELLS])
+    def test_both_counting_branches(
+        self, alphabet: int, length: int, branch: str, shape: str, chunk: int,
+        monkeypatch: pytest.MonkeyPatch,
+    ) -> None:
+        # ``bincount`` counts when the table has no more cells than there
+        # are pairs, ``unique`` otherwise.
+        tau = 1
+        assert (alphabet * alphabet <= length - tau) == (branch == "bincount")
+        monkeypatch.setattr(info_measures, "_CHUNK_CELLS", chunk)
+        series = SymbolSeries(symbols(shape, alphabet, length, seed=alphabet), alphabet)
+        assert tdmi(series, tau) == reference.tdmi(series, tau)
+
+    @pytest.mark.parametrize("tau", [1, 2, 998, 999])
+    def test_every_lag_up_to_length_minus_one(self, tau: int) -> None:
+        series = SymbolSeries(symbols("zipf", 50, 1000, seed=tau), 50)
+        assert tdmi(series, tau) == reference.tdmi(series, tau)
+
+
+class TestExcessTdmi:
+    @settings(max_examples=80, deadline=None)
+    @given(case=joint_and_lag(), chunk=CHUNKS)
+    def test_matches_reference(self, case: tuple[JointSeries, int], chunk: int) -> None:
+        joint, tau = case
+        expected = MeasureReport(
+            tau=tau,
+            joint_tdmi=reference.tdmi(joint, tau),
+            per_agent_tdmi=tuple(reference.tdmi(c, tau) for c in joint.components),
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(info_measures, "_CHUNK_CELLS", chunk)
+            report = excess_tdmi(joint, tau)
+        assert report.joint_tdmi == expected.joint_tdmi
+        assert report.per_agent_tdmi == expected.per_agent_tdmi
+        assert report.excess == expected.excess
+
+
+class TestDenseApi:
+    @settings(max_examples=60, deadline=None)
+    @given(case=series_and_lag(max_alphabet=300))
+    def test_build_lag_pairs_matches_reference(self, case: tuple[SymbolSeries, int]) -> None:
+        series, tau = case
+        got = build_lag_pairs(series, tau)
+        want = reference.build_lag_pairs(series, tau)
+        assert got.probabilities.tobytes() == want.probabilities.tobytes()
+        assert (got.tau, got.sample_count) == (want.tau, want.sample_count)
+        assert mutual_information(got) == reference.mutual_information(want)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        alphabet=st.integers(1, 30),
+        occupancy=st.floats(0.05, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_from_probabilities_matches_reference(
+        self, alphabet: int, occupancy: float, seed: int
+    ) -> None:
+        rng = np.random.default_rng(seed)
+        weights = rng.random((alphabet, alphabet)) * (rng.random((alphabet, alphabet)) < occupancy)
+        weights.flat[rng.integers(0, weights.size)] += 1.0
+        dist = LagPairDistribution.from_probabilities(weights / weights.sum(), 1)
+        assert mutual_information(dist) == reference.mutual_information(dist)
