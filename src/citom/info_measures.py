@@ -21,13 +21,17 @@ less predictable than its parts) and is reported, never clamped.
 ``tdmi`` and ``excess_tdmi`` count only the occupied cells of the
 ``K x K`` lag-pair table, where ``K`` is the (joint) alphabet size, so
 they use memory proportional to ``T + K`` plus one chunk of about 2**20
-table cells, never ``K * K``.  Their results are bit-identical to the
-dense estimator that ``build_lag_pairs`` and ``mutual_information`` still
-expose: cell probabilities are the same quotients, and the marginals are
-the same numpy reductions over the same row contents, because each chunk
-of occupied rows is scattered into a dense ``K``-wide buffer and summed
-there.  Marginals from exact integer counts would be closer to the truth
-but would change the last bit of many results, and with it the bytes of
+table cells, never ``K * K``.  ``mutual_information`` takes a dense
+table's nonzero cells through the same MI function, and both results are
+bit-identical to the dense sums: cell probabilities are the same
+quotients, and each marginal adds the same floats in the same order.
+The present (row) marginal scatters a chunk of occupied rows at a time
+into a dense ``K``-wide buffer and sums it with ``sum(axis=1)``, as on
+the dense table.  The lagged (column) marginal is ``np.bincount`` over
+the cells' columns weighted by their probabilities, which adds each
+column's cells in row order, as the dense ``sum(axis=0)`` does.
+Marginals from exact integer counts would be closer to the truth but
+would change the last bit of many results, and with it the bytes of
 ``measures.json``.  Counting requires ``K * K < 2**63``.
 """
 
@@ -52,7 +56,7 @@ __all__ = [
 # Codes and squared alphabets must stay below this to fit in int64.
 _INT64_LIMIT = 2**63
 
-# Table cells in one chunk of the marginal buffer (see ``_marginals``).
+# Table cells in one chunk of the row-sum buffer (see ``_mutual_information``).
 _CHUNK_CELLS = 1 << 20
 
 
@@ -166,6 +170,8 @@ class LagPairDistribution:
             raise ValueError(f"tau must be >= 1, got {self.tau}")
         if self.sample_count < 0:
             raise ValueError(f"sample_count must be >= 0, got {self.sample_count}")
+        if not np.isfinite(probs).all():
+            raise ValueError("probabilities must be finite")
         if probs.min() < 0.0:
             raise ValueError("probabilities must be non-negative")
         total = float(probs.sum())
@@ -253,17 +259,17 @@ def _occupied_cells(
     return k, rows, cols, probs
 
 
-def _marginals(
+def _mutual_information(
     k: int, rows: np.ndarray, cols: np.ndarray, probs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Both marginals of occupied cells, bit for bit as the dense table's.
+) -> float:
+    """Plug-in MI in bits from the occupied cells of a ``K x K`` table.
 
-    Returns the present marginal of each cell's row and the lagged
-    marginal of each cell's column.  The occupied rows are scattered a
-    chunk at a time into one dense ``K``-wide buffer, so every row is
-    summed by ``sum(axis=1)`` over the same ``K`` values as in the dense
-    table, and row 0 of the buffer carries the column sums from chunk to
-    chunk, so each column is summed in the same row order.
+    ``rows``, ``cols`` and ``probs`` give each occupied cell's row
+    (present symbol), column (lagged symbol) and probability, in
+    row-major order.  The occupied rows are scattered a chunk at a time
+    into one dense ``K``-wide buffer, so every row is summed by
+    ``sum(axis=1)`` over the same ``K`` values as in the dense table.
+    See ``mutual_information`` for the clamp at 0.
     """
     new_row = np.empty(rows.size, dtype=bool)
     new_row[0] = True
@@ -272,31 +278,19 @@ def _marginals(
     ranks = np.cumsum(new_row) - 1
     n_rows = bounds.size - 1
     per_chunk = min(max(1, _CHUNK_CELLS // k), n_rows)
-    buffer = np.zeros((1 + per_chunk, k))
+    buffer = np.zeros((per_chunk, k))
     row_sums = np.empty(n_rows)
     for first in range(0, n_rows, per_chunk):
         last = min(first + per_chunk, n_rows)
         cells = slice(bounds[first], bounds[last])
-        local = 1 + ranks[cells] - first
+        local = ranks[cells] - first
         buffer[local, cols[cells]] = probs[cells]
-        used = buffer[: 1 + last - first]
-        row_sums[first:last] = used[1:].sum(axis=1)
-        column_sums = used.sum(axis=0)
+        row_sums[first:last] = buffer[: last - first].sum(axis=1)
         buffer[local, cols[cells]] = 0.0
-        buffer[0] = column_sums
-    return row_sums[ranks], buffer[0][cols]
-
-
-def _cell_mutual_information(
-    probs: np.ndarray, present: np.ndarray, lagged: np.ndarray
-) -> float:
-    """Plug-in MI in bits from occupied cells, clamped at 0.
-
-    ``probs`` holds the cells in row-major order, ``present`` and
-    ``lagged`` the marginals of each cell's row and column; see
-    ``mutual_information`` for the clamp.
-    """
-    product = present * lagged
+    # Release the chunk's pages before the per-cell temporaries take theirs.
+    del buffer
+    product = row_sums[ranks]
+    product *= np.bincount(cols, weights=probs, minlength=k)[cols]
     mi = float((probs * np.log2(probs / product)).sum())
     return max(mi, 0.0)
 
@@ -334,9 +328,7 @@ def mutual_information(distribution: LagPairDistribution) -> float:
     """
     probs = distribution.probabilities
     rows, cols = np.nonzero(probs > 0.0)
-    return _cell_mutual_information(
-        probs[rows, cols], probs.sum(axis=1)[rows], probs.sum(axis=0)[cols]
-    )
+    return _mutual_information(probs.shape[0], rows, cols, probs[rows, cols])
 
 
 def tdmi(series: SymbolSeries | JointSeries, tau: int) -> float:
@@ -345,8 +337,7 @@ def tdmi(series: SymbolSeries | JointSeries, tau: int) -> float:
     Equal, bit for bit, to ``mutual_information(build_lag_pairs(series,
     tau))``, without building the ``K x K`` table.
     """
-    k, rows, cols, probs = _occupied_cells(series, tau)
-    return _cell_mutual_information(probs, *_marginals(k, rows, cols, probs))
+    return _mutual_information(*_occupied_cells(series, tau))
 
 
 def excess_tdmi(joint: JointSeries, tau: int) -> MeasureReport:

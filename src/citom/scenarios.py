@@ -201,34 +201,24 @@ def run_triadic(config: TriadicConfig) -> TriadicLog:
     else:
         orchestrator = Orchestrator.calibrated(config.amplitude)
         x1 = (orchestrator.sign * config.amplitude) * signal
-        coupling = np.empty(steps)
-        if config.delay == 0:
-            coupling[:] = x1
-        else:
-            warmup = min(config.delay, steps)
-            coupling[:warmup] = config.amplitude
-            coupling[warmup:] = x1[: steps - warmup]
+        warmup = min(config.delay, steps)
+        coupling = np.concatenate((np.full(warmup, config.amplitude), x1[: steps - warmup]))
 
     x2 = np.empty(steps, dtype=np.int64)
     x3 = np.empty(steps, dtype=np.int64)
     u1 = np.empty(steps)
     u2 = np.empty(steps)
     u3 = np.empty(steps)
-    if config.mode == "a":
-        x2[:] = DEFECT
-        x3[:] = DEFECT
-        utilities = triadic_utilities(0.0, DEFECT, DEFECT, config.revenue_share)
-        u1[:], u2[:], u3[:] = utilities
-    else:
-        # The coupling takes few distinct values, so resolve the workers'
-        # equilibrium response and the utilities once per value.
-        for value in np.unique(coupling):
-            mask = coupling == value
-            a2, a3 = _worker_actions_for(float(value), DEFECT)
-            x2[mask] = a2
-            x3[mask] = a3
-            step_u = triadic_utilities(float(value), a2, a3, config.revenue_share)
-            u1[mask], u2[mask], u3[mask] = step_u
+    # The coupling takes few distinct values, so resolve the workers'
+    # equilibrium response and the utilities once per value.  Mode "a"
+    # has coupling 0, the degenerate boundary, where they defect.
+    for value in np.unique(coupling):
+        mask = coupling == value
+        a2, a3 = _worker_actions_for(float(value), DEFECT)
+        x2[mask] = a2
+        x3[mask] = a3
+        step_u = triadic_utilities(float(value), a2, a3, config.revenue_share)
+        u1[mask], u2[mask], u3[mask] = step_u
     value_flag = ((x2 == COOPERATE) & (x3 == COOPERATE)).astype(np.int64)
 
     for array in (signal, x1, coupling, x2, x3, u1, u2, u3, value_flag):
@@ -264,9 +254,9 @@ def run_matching_pennies(config: MatchingPenniesConfig) -> MatchingPenniesLog:
     monkey = np.empty(steps, dtype=np.int64)
     computer = np.empty(steps, dtype=np.int64)
     monkey_reward = np.empty(steps, dtype=np.int64)
-    # Both agents' ``choose`` draw one uniform each, computer first; one
-    # batched draw yields the same stream: 2t for the computer, 2t+1 for
-    # the learner.
+    # Each agent draws one uniform per trial and plays 1 below its
+    # probability of action 1, computer first: uniform 2t is the
+    # computer's and 2t+1 the learner's, all from one batched draw.
     draws = iter(rng.random(2 * steps).tolist())
     for t, (computer_draw, monkey_draw) in enumerate(zip(draws, draws)):
         c = 1 if computer_draw < predictor.response_probability() else 0

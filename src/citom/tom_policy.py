@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from math import log
+from math import isfinite, log
 from typing import Sequence
 
 import numpy as np
@@ -61,6 +61,8 @@ def _as_distribution(values: np.ndarray | Sequence[float], label: str) -> np.nda
         raise ValueError(f"{label} must be 1-D, got shape {dist.shape}")
     if dist.size == 0:
         raise ValueError(f"{label} must be non-empty")
+    if not np.isfinite(dist).all():
+        raise ValueError(f"{label} must be finite")
     if dist.min() < 0.0:
         raise ValueError(f"{label} must be non-negative")
     if abs(float(dist.sum()) - 1.0) > _DIST_TOL:
@@ -354,12 +356,14 @@ def pikl_best_response(
     For ``lam > 0`` the optimum is ``pi(a) proportional to
     anchor(a) * exp(Q(a) / lam)`` with the natural exponent; ``lam = 0``
     recovers the unanchored greedy policy (lowest-index tie-break), and
-    negative ``lam`` is rejected.
+    negative or non-finite ``lam`` is rejected.
     """
     q = np.asarray(q_values, dtype=np.float64)
     anchor = _as_distribution(anchor, "anchor")
     if q.shape != anchor.shape:
         raise ValueError(f"q_values shape {q.shape} must match anchor {anchor.shape}")
+    if not isfinite(lam):
+        raise ValueError(f"regularisation weight must be finite, got {lam}")
     if lam < 0.0:
         raise ValueError(f"regularisation weight must be >= 0, got {lam}")
     if lam == 0.0:
@@ -379,7 +383,7 @@ class ObjectiveParams:
 
     ``q_values`` drive greedy/anchored responses; ``rewards`` (defaulting
     to the Q-values) are what the expectation term pays out.  Both
-    regularisation weights must be non-negative.
+    regularisation weights must be finite and non-negative.
     """
 
     q_values: np.ndarray
@@ -401,6 +405,8 @@ class ObjectiveParams:
                 )
             rewards.setflags(write=False)
             object.__setattr__(self, "rewards", rewards)
+        if not (isfinite(self.lambda_anchor) and isfinite(self.lambda_tom)):
+            raise ValueError("regularisation weights must be finite")
         if self.lambda_anchor < 0.0 or self.lambda_tom < 0.0:
             raise ValueError("regularisation weights must be >= 0")
 

@@ -2,8 +2,8 @@
 
 ``bdtr_pvalue`` is the p-value the predictor took from scipy's ``bdtr``
 before citom computed the binomial tail exactly, and
-``run_matching_pennies`` is the per-trial loop in which each agent's
-``choose`` draws its own uniform and the predictor picks among its
+``run_matching_pennies`` is the per-trial loop in which each agent draws
+its own uniform, computer first, and the predictor picks among its
 rejected statistics from a candidate list.  ``exact_pvalue`` is the
 p-value as a ``Fraction`` of ``math.comb`` sums.  The property tests in
 ``test_pennies_oracles.py`` hold the production code to these.
@@ -72,7 +72,7 @@ class ReferencePredictor(MatchingPenniesPredictor):
 def run_matching_pennies(
     config: MatchingPenniesConfig,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``(monkey, computer, monkey_reward, computer_reward)``, one draw per ``choose``."""
+    """``(monkey, computer, monkey_reward, computer_reward)``, one draw per agent per trial."""
     rng = np.random.default_rng(config.seed)
     predictor = ReferencePredictor(config.algorithm_id, config.significance_level)
     learner = DeltaRuleLearner(config.learning_rate, config.inverse_temperature)
@@ -82,7 +82,7 @@ def run_matching_pennies(
     monkey_reward = np.empty(steps, dtype=np.int64)
     for t in range(steps):
         c = predictor.choose(rng)
-        m = learner.choose(rng)
+        m = 1 if rng.random() < learner.action_probability() else 0
         reward = 1 if m == c else 0
         predictor.observe(m, reward)
         learner.update(m, float(reward))

@@ -103,9 +103,7 @@ class TestMatchingPenniesPredictor:
         for _ in range(50):
             assert pred.response_probability() == 0.5
             pred.observe(1, 1)
-        draws = [pred.choose(np.random.default_rng(7)) for _ in range(3)]
-        assert draws == [draws[0]] * 3
-        choices = [pred.choose(rng) for _ in range(10_000)]
+        choices = [rng.random() < pred.response_probability() for _ in range(10_000)]
         assert 0.48 < np.mean(choices) < 0.52
 
     @pytest.mark.parametrize("algorithm_id", [1, 2])
@@ -153,10 +151,8 @@ class TestMatchingPenniesPredictor:
         script = [(int(rng.integers(0, 2)), int(rng.integers(0, 2))) for _ in range(300)]
         stubbed = MatchingPenniesPredictor(2, pvalue_fn=lambda k, n: 1.0)
         baseline = MatchingPenniesPredictor(0)
-        rng_a = np.random.default_rng(99)
-        rng_b = np.random.default_rng(99)
         for choice, reward in script:
-            assert stubbed.choose(rng_a) == baseline.choose(rng_b)
+            assert stubbed.response_probability() == baseline.response_probability()
             stubbed.observe(choice, reward)
             baseline.observe(choice, reward)
 
@@ -189,7 +185,7 @@ class TestMatchingPenniesPredictor:
             wins = 0
             trials = 10_000
             for t in range(trials):
-                computer = pred.choose(rng)
+                computer = 1 if rng.random() < pred.response_probability() else 0
                 if t > 0:
                     choice = choice if reward == 1 else 1 - choice
                 reward = 1 if choice == computer else 0
@@ -207,8 +203,6 @@ class TestMatchingPenniesPredictor:
             MatchingPenniesPredictor(3)
         with pytest.raises(ValueError):
             MatchingPenniesPredictor(1, significance_level=0.0)
-        with pytest.raises(ValueError):
-            MatchingPenniesPredictor(1, context_length=0)
         pred = MatchingPenniesPredictor(1)
         with pytest.raises(ValueError):
             pred.observe(2, 0)
@@ -237,7 +231,7 @@ class TestDeltaRuleLearner:
         learner.update(1, 1.0)
         assert learner.action_probability() > 1.0 - 1e-15
         rng = np.random.default_rng(0)
-        assert all(learner.choose(rng) == 1 for _ in range(100))
+        assert all(rng.random() < learner.action_probability() for _ in range(100))
 
     def test_validation(self) -> None:
         with pytest.raises(ValueError):

@@ -419,6 +419,13 @@ class TestCliFailureModes:
             ({"lambda_anchor": None}, "lambda_anchor"),
             ({"type_labels": 3}, "type_labels"),
             ({"q_values": [[1.0, 0.0], [1.0, 0.0]]}, "q_values"),
+            ({"lambda_anchor": float("nan")}, "lambda_anchor"),
+            ({"prior": [float("nan"), 1.0]}, "prior"),
+            ({"lambda_tom": float("inf")}, "lambda_tom"),
+            ({"speaker_utility": [[float("nan"), 0.0], [0.0, 1.0]]}, "speaker_utility"),
+            ({"rewards": [[float("nan"), 0.0]]}, "rewards"),
+            ({"q_values": [[float("nan"), 0.0]]}, "q_values"),
+            ({"state": 0.7}, "state"),
         ]:
             capsys.readouterr()
             config_path.write_text(json.dumps(override))

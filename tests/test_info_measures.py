@@ -131,6 +131,11 @@ class TestLagPairDistribution:
         with pytest.raises(ValueError):
             LagPairDistribution(np.eye(2) / 2, 0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_probabilities(self, bad: float) -> None:
+        with pytest.raises(ValueError, match="finite"):
+            LagPairDistribution.from_probabilities(np.array([[bad, 0.5], [0.25, 0.25]]), 1)
+
 
 class TestMutualInformation:
     def test_uniform_bijection_two_symbols_exactly_one_bit(self) -> None:
@@ -156,6 +161,15 @@ class TestMutualInformation:
         assert mutual_information(dist) == pytest.approx(
             h_present + h_lagged - h_pair, abs=1e-15
         )
+
+    def test_independent_of_memory_layout(self) -> None:
+        rng = np.random.default_rng(0)
+        for k in (3, 17, 40):
+            table = rng.random((k, k)) * (rng.random((k, k)) < 0.5)
+            table /= table.sum()
+            c_order = LagPairDistribution.from_probabilities(table, 1)
+            f_order = LagPairDistribution.from_probabilities(np.asfortranarray(table), 1)
+            assert mutual_information(f_order) == mutual_information(c_order)
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -1,8 +1,8 @@
 """Exact binomial tails and the batched matching-pennies loop against references.
 
 ``pennies_reference`` holds scipy's ``bdtr`` p-value, an exact
-``Fraction`` p-value and the per-trial loop in which every ``choose``
-draws its own uniform.  The production p-value must equal the exact one
+``Fraction`` p-value and the per-trial loop in which each agent draws
+its own uniform.  The production p-value must equal the exact one
 bit for bit (whichever way its tail cache reached the state), must make
 the same ``< 0.05`` decision as ``bdtr``, and ``run_matching_pennies``
 must give the reference's episodes byte for byte.

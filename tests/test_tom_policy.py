@@ -82,6 +82,17 @@ class TestContainers:
         greedy = Policy.greedy(np.array([[1.0, 3.0], [2.0, 2.0]]))
         assert greedy.table.tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_distributions_rejected(self, bad: float) -> None:
+        with pytest.raises(ValueError, match="finite"):
+            LatentTypeSpace(np.array([bad, 1.0]))
+        with pytest.raises(ValueError, match="finite"):
+            Policy(np.array([[bad, 1.0]]))
+        with pytest.raises(ValueError, match="finite"):
+            Channel(np.array([[bad, 1.0], [0.5, 0.5]]))
+        with pytest.raises(ValueError, match="finite"):
+            BeliefState(np.array([1.0, bad]))
+
     def test_tables_are_read_only(self) -> None:
         policy = Policy(np.array([[0.5, 0.5]]))
         with pytest.raises(ValueError):
@@ -348,6 +359,11 @@ class TestPiklBestResponse:
         with pytest.raises(ValueError):
             pikl_best_response([1.0, 0.0], [0.5, 0.5], -0.5)
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf])
+    def test_non_finite_lambda_rejected(self, lam: float) -> None:
+        with pytest.raises(ValueError, match="finite"):
+            pikl_best_response([1.0, 0.0], [0.5, 0.5], lam)
+
     def test_maximises_the_anchored_objective(self) -> None:
         rng = np.random.default_rng(77)
         for _ in range(30):
@@ -422,6 +438,10 @@ class TestAnchorObjective:
             anchor_objective(policy, params, Policy(np.array([[0.5, 0.5]])), [0.9])
         with pytest.raises(ValueError):
             ObjectiveParams(np.array([[1.0, 0.0]]), lambda_anchor=-1.0)
+        with pytest.raises(ValueError, match="finite"):
+            ObjectiveParams(np.array([[1.0, 0.0]]), lambda_anchor=np.nan)
+        with pytest.raises(ValueError, match="finite"):
+            ObjectiveParams(np.array([[1.0, 0.0]]), lambda_tom=np.inf)
         with pytest.raises(ValueError):
             ObjectiveParams(np.array([1.0, 0.0]))
         with pytest.raises(ValueError):
