@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from math import exp
+from math import exp, isfinite
 from typing import Callable, ClassVar
 
 from .game_core import (
@@ -221,6 +221,8 @@ class DeltaRuleLearner:
     def __post_init__(self) -> None:
         if not 0.0 < self.learning_rate <= 1.0:
             raise ValueError("learning_rate must lie in (0, 1]")
+        if not isfinite(self.inverse_temperature):
+            raise ValueError("inverse_temperature must be finite")
         if self.inverse_temperature < 0.0:
             raise ValueError("inverse_temperature must be >= 0")
         self.values = [self.initial_value, self.initial_value]

@@ -12,6 +12,12 @@ Without the declaration, each column's alphabet is inferred as one more
 than its largest symbol.  Parse failures always name the 1-based line
 number.
 
+Parsing reads the file once as bytes.  A body of plain digit rows is
+converted with array arithmetic, ``BLOCK_ROWS`` rows at a time, straight
+into contiguous columns (:func:`parse_series_csv` says exactly when);
+any other file is parsed line by line from line 1, and that parser owns
+every error message.
+
 All writers go through an atomic write-then-rename so a crashed run
 never leaves a truncated artifact, and floats are rendered with six
 decimal places so identical runs produce identical bytes.  CSV rows are
@@ -23,6 +29,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from io import BytesIO
 from pathlib import Path
 from typing import Sequence
 
@@ -104,6 +111,24 @@ def _parse_alphabet_comment(line: str, line_no: int) -> tuple[int, ...] | None:
     return sizes
 
 
+def _read_header(lines) -> tuple[tuple[int, ...] | None, tuple[str, ...]]:
+    """Consume ``(line number, line)`` pairs through the header; return
+    the declared alphabet, if any, and the column names."""
+    alphabet: tuple[int, ...] | None = None
+    for line_no, raw in lines:
+        line = raw.strip()
+        if line.startswith("#"):
+            alphabet = _parse_alphabet_comment(line, line_no) or alphabet
+        elif line:
+            parts = [part.strip() for part in line.split(",")]
+            if any(not part for part in parts):
+                raise ParseError(f"line {line_no}: empty column name in header")
+            if len(set(parts)) != len(parts):
+                raise ParseError(f"line {line_no}: duplicate column names")
+            return alphabet, tuple(parts)
+    raise ParseError("line 1: missing header row")
+
+
 def _symbol_block(rows: list[tuple[int, str]], width: int) -> np.ndarray:
     """``(line number, data row)`` pairs as a ``(len(rows), width)`` int64 array.
 
@@ -131,11 +156,8 @@ def _symbol_block(rows: list[tuple[int, str]], width: int) -> np.ndarray:
         raise
 
 
-def parse_series_csv(path: Path | str) -> SeriesFile:
-    """Read a symbol-series CSV (see the module docstring for the format)."""
-    path = Path(path)
-    alphabet: tuple[int, ...] | None = None
-    names: tuple[str, ...] | None = None
+def _parse_lines(path: Path):
+    """The line-by-line parser: alphabet, names and an iterator of columns."""
     blocks: list[np.ndarray] = []
     rows: list[tuple[int, str]] = []
 
@@ -145,44 +167,100 @@ def parse_series_csv(path: Path | str) -> SeriesFile:
             rows.clear()
 
     with path.open("r", encoding="utf-8") as handle:
-        for line_no, raw in enumerate(handle, start=1):
+        lines = enumerate(handle, start=1)
+        alphabet, names = _read_header(lines)
+        for line_no, raw in lines:
             line = raw.strip()
             if not line:
                 continue
             if line.startswith("#"):
                 # Errors in the rows above this line come first.
                 convert_rows()
-                declared = _parse_alphabet_comment(line, line_no)
-                if declared is not None:
-                    if names is not None:
-                        raise ParseError(
-                            f"line {line_no}: {ALPHABET_KEY} must precede the header"
-                        )
-                    alphabet = declared
-                continue
-            if names is None:
-                parts = [part.strip() for part in line.split(",")]
-                if any(not part for part in parts):
-                    raise ParseError(f"line {line_no}: empty column name in header")
-                if len(set(parts)) != len(parts):
-                    raise ParseError(f"line {line_no}: duplicate column names")
-                names = tuple(parts)
+                if _parse_alphabet_comment(line, line_no) is not None:
+                    raise ParseError(
+                        f"line {line_no}: {ALPHABET_KEY} must precede the header"
+                    )
                 continue
             rows.append((line_no, line))
             if len(rows) == BLOCK_ROWS:
                 convert_rows()
     convert_rows()
-    if names is None:
-        raise ParseError("line 1: missing header row")
     if not blocks:
         raise ParseError(f"no data rows under header for {path}")
+    columns = (
+        np.concatenate([block[:, position] for block in blocks])
+        for position in range(len(names))
+    )
+    return alphabet, names, columns
+
+
+def _parse_digits(data: bytes):
+    """The fast path: what :func:`_parse_lines` returns, with the columns
+    as rows of one ``(width, rows)`` array, or ``None`` to defer to it."""
+    if b"\r" in data:
+        return None
+    buffer = BytesIO(data)
+    try:
+        alphabet, names = _read_header(
+            (line_no, raw.decode("utf-8")) for line_no, raw in enumerate(buffer, 1)
+        )
+    except (ParseError, UnicodeDecodeError):
+        return None
+    body = np.frombuffer(data, dtype=np.uint8)[buffer.tell() :]
+    if body.size == 0:
+        return None
+    # Row r ends at stops[r]: its line feed, or the end of the file.
+    stops = np.flatnonzero(body == ord("\n"))
+    if body[-1] != ord("\n"):
+        stops = np.append(stops, body.size)
+    width = len(names)
+    row_end = np.frombuffer(b"," * (width - 1) + b"\n", dtype=np.uint8)
+    separators = np.tile(row_end, BLOCK_ROWS)
+    columns = np.empty((width, stops.size), dtype=np.int64)
+    start = 0
+    for first in range(0, stops.size, BLOCK_ROWS):
+        block_stops = stops[first : first + BLOCK_ROWS]
+        chunk = body[start : block_stops[-1]]  # its last separator is implied
+        digits = chunk - np.uint8(ord("0"))
+        ends = np.append(np.flatnonzero(digits > 9), chunk.size)
+        lengths = np.diff(ends, prepend=-1) - 1
+        # 18 digits always fit in int64.
+        if (
+            ends.size != block_stops.size * width
+            or not np.array_equal(chunk[ends[:-1]], separators[: ends.size - 1])
+            or not 1 <= lengths.min() <= lengths.max() <= 18
+        ):
+            return None
+        values = np.zeros(ends.size, dtype=np.int64)
+        for place in range(lengths.max(), 0, -1):
+            live = lengths >= place
+            values[live] = values[live] * 10 + digits[ends[live] - place]
+        columns[:, first : first + block_stops.size] = values.reshape(-1, width).T
+        start = block_stops[-1] + 1
+    return alphabet, names, columns
+
+
+def parse_series_csv(path: Path | str) -> SeriesFile:
+    """Read a symbol-series CSV (see the module docstring for the format).
+
+    The fast path takes a file whose rows below the header each hold the
+    header's width of tokens of 1 to 18 ASCII digits, joined by ``,`` and
+    ended by a line feed (optional on the last row).  A comment, blank
+    line, carriage return, space, sign, longer token or non-ASCII digit
+    below the header sends the file to the line-by-line parser instead.
+    """
+    path = Path(path)
+    # The bytes are released when the fast path returns, before the checks.
+    parsed = _parse_digits(path.read_bytes())
+    if parsed is None:
+        parsed = _parse_lines(path)
+    alphabet, names, columns = parsed
     if alphabet is not None and len(alphabet) != len(names):
         raise ParseError(
             f"{ALPHABET_KEY} declares {len(alphabet)} columns, header has {len(names)}"
         )
     components = []
-    for position, name in enumerate(names):
-        values = np.concatenate([block[:, position] for block in blocks])
+    for position, (name, values) in enumerate(zip(names, columns)):
         if values.min() < 0:
             raise ParseError(f"column {name!r} has negative symbols")
         size = alphabet[position] if alphabet else int(values.max()) + 1

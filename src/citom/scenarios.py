@@ -100,6 +100,8 @@ class MatchingPenniesConfig:
             raise ValueError(f"algorithm_id must be 0, 1 or 2, got {self.algorithm_id}")
         if self.steps < 2:
             raise ValueError(f"steps must be >= 2, got {self.steps}")
+        # The learner's own checks, run when the config is built.
+        DeltaRuleLearner(self.learning_rate, self.inverse_temperature)
         object.__setattr__(self, "taus", _validated_taus(self.taus, self.steps))
 
 

@@ -355,13 +355,15 @@ def pikl_best_response(
 
     For ``lam > 0`` the optimum is ``pi(a) proportional to
     anchor(a) * exp(Q(a) / lam)`` with the natural exponent; ``lam = 0``
-    recovers the unanchored greedy policy (lowest-index tie-break), and
-    negative or non-finite ``lam`` is rejected.
+    recovers the unanchored greedy policy (lowest-index tie-break).
+    Non-finite Q-values and a negative or non-finite ``lam`` are rejected.
     """
     q = np.asarray(q_values, dtype=np.float64)
     anchor = _as_distribution(anchor, "anchor")
     if q.shape != anchor.shape:
         raise ValueError(f"q_values shape {q.shape} must match anchor {anchor.shape}")
+    if not np.isfinite(q).all():
+        raise ValueError("q_values must be finite")
     if not isfinite(lam):
         raise ValueError(f"regularisation weight must be finite, got {lam}")
     if lam < 0.0:
@@ -382,8 +384,9 @@ class ObjectiveParams:
     """Inputs of the anchored and unified objectives.
 
     ``q_values`` drive greedy/anchored responses; ``rewards`` (defaulting
-    to the Q-values) are what the expectation term pays out.  Both
-    regularisation weights must be finite and non-negative.
+    to the Q-values) are what the expectation term pays out.  Both tables
+    must be finite, and both regularisation weights finite and
+    non-negative.
     """
 
     q_values: np.ndarray
@@ -395,6 +398,8 @@ class ObjectiveParams:
         q = np.asarray(self.q_values, dtype=np.float64)
         if q.ndim != 2:
             raise ValueError(f"q_values must be 2-D, got shape {q.shape}")
+        if not np.isfinite(q).all():
+            raise ValueError("q_values must be finite")
         q.setflags(write=False)
         object.__setattr__(self, "q_values", q)
         if self.rewards is not None:
@@ -403,6 +408,8 @@ class ObjectiveParams:
                 raise ValueError(
                     f"rewards shape {rewards.shape} must match q_values {q.shape}"
                 )
+            if not np.isfinite(rewards).all():
+                raise ValueError("rewards must be finite")
             rewards.setflags(write=False)
             object.__setattr__(self, "rewards", rewards)
         if not (isfinite(self.lambda_anchor) and isfinite(self.lambda_tom)):

@@ -244,6 +244,13 @@ class TestDeltaRuleLearner:
         with pytest.raises(ValueError):
             learner.update(2, 1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameters_rejected(self, bad: float) -> None:
+        with pytest.raises(ValueError, match="inverse_temperature must be finite"):
+            DeltaRuleLearner(0.2, bad)
+        with pytest.raises(ValueError, match="learning_rate"):
+            DeltaRuleLearner(bad, 3.0)
+
 
 class TestEquilibriumAction:
     def test_dilemma_side_defects(self) -> None:

@@ -28,6 +28,7 @@ from citom.info_measures import (
     mutual_information,
     tdmi,
 )
+from citom.io import SeriesFile, parse_series_csv, series_csv_text
 
 
 def _series(values: list[int], alphabet: int) -> SymbolSeries:
@@ -338,6 +339,20 @@ class TestResourceBounds:
         finally:
             tracemalloc.stop()
         assert peak < bound
+
+    def test_parse_peak_memory(self, tmp_path: Path) -> None:
+        # The returned int64 columns alone are 18.3 MiB.
+        names = tuple(f"a{i + 1}" for i in range(12))
+        joint = _binary_agents(len(names), 200_000, seed=7)
+        path = tmp_path / "series.csv"
+        path.write_text(series_csv_text(SeriesFile(names, joint)), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            parse_series_csv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
 
     def test_measuring_loads_no_numpy_ma(self) -> None:
         src = str(Path(info_measures.__file__).resolve().parents[1])

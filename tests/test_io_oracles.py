@@ -17,6 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import io_reference as reference
+from citom import io as citom_io
+from citom.info_measures import JointSeries, SymbolSeries
 from citom.io import (
     BLOCK_ROWS,
     ParseError,
@@ -173,6 +175,65 @@ def series_texts(draw) -> str:
     return newline.join(["# produced by a test", *header, *lines]) + newline
 
 
+# Tokens the fast path takes: 1 to 18 ASCII digits, leading zeros allowed.
+FAST_TOKENS = st.one_of(
+    st.sampled_from(["0", "1", "007", "0" * 18, "9" * 18]),
+    st.text("0123456789", min_size=1, max_size=18),
+)
+
+
+def _with_first_cell(row: str, token: str) -> str:
+    return token + row[len(row.split(",", 1)[0]) :]
+
+
+# Changes to one data row, each of which sends the file to the
+# line-by-line parser.
+FAST_PATH_DEFECTS = (
+    lambda row: _with_first_cell(row, "0" * 18 + "7"),
+    lambda row: _with_first_cell(row, "1" + "0" * 18),
+    lambda row: _with_first_cell(row, "-1"),
+    lambda row: _with_first_cell(row, "-0"),
+    lambda row: _with_first_cell(row, ""),
+    lambda row: row + " ",
+    lambda row: " " + row,
+    lambda row: row.replace(",", " ", 1),
+    lambda row: row + "\r",
+    lambda row: "\n" + row,
+    lambda row: "# a note\n" + row,
+    lambda row: "# alphabet_size: 2\n" + row,
+    lambda row: row.rpartition(",")[0],
+    lambda row: row + ",0",
+    lambda row: _with_first_cell(row, "\u0663"),
+    lambda row: _with_first_cell(row, "\uff11\uff12"),
+)
+
+
+@st.composite
+def fast_series_texts(draw) -> str:
+    """Digits-and-LF series files, some with one defect past the first
+    block of rows."""
+    width = draw(st.integers(1, 16))
+    around_blocks = [k * BLOCK_ROWS + d for k in (1, 2) for d in (-1, 0, 1)]
+    n_rows = draw(st.one_of(st.integers(1, 5), st.sampled_from(around_blocks)))
+    pool = draw(st.lists(FAST_TOKENS, min_size=1, max_size=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    picks = rng.integers(0, len(pool), size=(n_rows, width))
+    lines = [",".join(pool[i] for i in row) for row in picks.tolist()]
+    defect = draw(st.one_of(st.none(), st.sampled_from(FAST_PATH_DEFECTS)))
+    if defect is not None:
+        row = draw(st.integers(min(BLOCK_ROWS, n_rows - 1), n_rows - 1))
+        lines[row] = defect(lines[row])
+    header = [",".join(f"a{i}" for i in range(width))]
+    # No declaration, the exact alphabets, or alphabets one too small.
+    shift = draw(st.sampled_from([None, 1, 0]))
+    if shift is not None:
+        values = np.array([int(token) for token in pool], dtype=np.int64)[picks]
+        sizes = ",".join(str(max(1, int(top) + shift)) for top in values.max(axis=0))
+        header = ["# produced by a test", f"# alphabet_size: {sizes}", "", *header]
+    ending = draw(st.sampled_from(["\n", ""]))
+    return "\n".join([*header, *lines]) + ending
+
+
 def parse_outcome(parse, path: Path):
     """The parsed names and columns, or the ParseError message."""
     try:
@@ -192,3 +253,47 @@ class TestParserMatchesReference:
             path.write_bytes(text.encode("utf-8"))
             expected = parse_outcome(reference.parse_series_csv, path)
             assert parse_outcome(parse_series_csv, path) == expected
+
+
+class TestFastPathMatchesReference:
+    @settings(max_examples=40, deadline=None)
+    @given(fast_series_texts())
+    def test_same_series_or_same_error(self, text: str) -> None:
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "series.csv"
+            path.write_bytes(text.encode("utf-8"))
+            expected = parse_outcome(reference.parse_series_csv, path)
+            assert parse_outcome(parse_series_csv, path) == expected
+
+    @pytest.mark.parametrize("defect", FAST_PATH_DEFECTS)
+    def test_each_defect_past_the_first_block(self, defect, tmp_path: Path) -> None:
+        rng = np.random.default_rng(5)
+        symbols = rng.integers(0, 12, size=(2 * BLOCK_ROWS + 1, 3)).tolist()
+        lines = [",".join(map(str, row)) for row in symbols]
+        lines[BLOCK_ROWS + 7] = defect(lines[BLOCK_ROWS + 7])
+        path = tmp_path / "series.csv"
+        path.write_text("a,b,c\n" + "\n".join(lines) + "\n", encoding="utf-8")
+        expected = parse_outcome(reference.parse_series_csv, path)
+        assert parse_outcome(parse_series_csv, path) == expected
+
+    def test_digits_file_skips_the_line_parser(
+        self, tmp_path: Path, monkeypatch: pytest.MonkeyPatch
+    ) -> None:
+        # Shaped like the benchmark's measure-wide input, as citom writes it.
+        rng = np.random.default_rng(9)
+        names = tuple(f"a{i + 1}" for i in range(12))
+        joint = JointSeries(
+            tuple(SymbolSeries(rng.integers(0, 2, 2 * BLOCK_ROWS + 5), 2) for _ in names)
+        )
+        path = tmp_path / "series.csv"
+        path.write_text(series_csv_text(SeriesFile(names, joint)), encoding="utf-8")
+        expected = parse_outcome(reference.parse_series_csv, path)
+
+        def line_parser(*args):
+            raise AssertionError("line-by-line parser used")
+
+        monkeypatch.setattr(citom_io, "_symbol_block", line_parser)
+        assert parse_outcome(parse_series_csv, path) == expected
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        with pytest.raises(AssertionError, match="line-by-line"):
+            parse_series_csv(path)

@@ -43,6 +43,13 @@ class TestConfigs:
         with pytest.raises(ValueError):
             MatchingPenniesConfig(algorithm_id=0, steps=10, taus=(12,))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_matching_pennies_non_finite_learner_rejected(self, bad: float) -> None:
+        with pytest.raises(ValueError, match="inverse_temperature must be finite"):
+            MatchingPenniesConfig(algorithm_id=0, steps=200, inverse_temperature=bad)
+        with pytest.raises(ValueError, match="learning_rate"):
+            MatchingPenniesConfig(algorithm_id=0, steps=200, learning_rate=bad)
+
 
 class TestTriadicModeA:
     def test_reporting_only_dynamics(self) -> None:

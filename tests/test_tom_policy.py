@@ -364,6 +364,11 @@ class TestPiklBestResponse:
         with pytest.raises(ValueError, match="finite"):
             pikl_best_response([1.0, 0.0], [0.5, 0.5], lam)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_q_values_rejected(self, bad: float) -> None:
+        with pytest.raises(ValueError, match="q_values must be finite"):
+            pikl_best_response([bad, 0.0], [0.5, 0.5], 1.0)
+
     def test_maximises_the_anchored_objective(self) -> None:
         rng = np.random.default_rng(77)
         for _ in range(30):
@@ -426,6 +431,13 @@ class TestAnchorObjective:
         assert anchor_objective(policy, params, anchor, [1.0]) == pytest.approx(
             0.5, abs=1e-15
         )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tables_rejected(self, bad: float) -> None:
+        with pytest.raises(ValueError, match="q_values must be finite"):
+            ObjectiveParams(np.array([[bad, 0.0]]))
+        with pytest.raises(ValueError, match="rewards must be finite"):
+            ObjectiveParams(np.array([[1.0, 0.0]]), rewards=np.array([[bad, 0.0]]))
 
     def test_shape_validation(self) -> None:
         policy = Policy(np.array([[0.5, 0.5]]))
