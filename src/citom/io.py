@@ -12,11 +12,11 @@ Without the declaration, each column's alphabet is inferred as one more
 than its largest symbol.  Parse failures always name the 1-based line
 number.
 
-Parsing reads the file once as bytes.  A body of plain digit rows is
-converted with array arithmetic, ``BLOCK_ROWS`` rows at a time, straight
-into contiguous columns (:func:`parse_series_csv` says exactly when);
-any other file is parsed line by line from line 1, and that parser owns
-every error message.
+Parsing reads the file once, with ``\r\n`` and ``\r`` ending lines as
+in text mode, and parses the header once.  One rule decides what a line
+is; each block of lines below the header picks its converter, array
+arithmetic for plain digit rows or a line-by-line pass for anything else
+(:func:`parse_series_csv` says exactly when), straight into columns.
 
 All writers go through an atomic write-then-rename so a crashed run
 never leaves a truncated artifact, and floats are rendered with six
@@ -111,12 +111,12 @@ def _parse_alphabet_comment(line: str, line_no: int) -> tuple[int, ...] | None:
     return sizes
 
 
-def _read_header(lines) -> tuple[tuple[int, ...] | None, tuple[str, ...]]:
-    """Consume ``(line number, line)`` pairs through the header; return
-    the declared alphabet, if any, and the column names."""
+def _read_header(buffer: BytesIO):
+    """Consume ``buffer``'s lines through the header; return the declared
+    alphabet, if any, the column names and the header's line number."""
     alphabet: tuple[int, ...] | None = None
-    for line_no, raw in lines:
-        line = raw.strip()
+    for line_no, raw in enumerate(buffer, start=1):
+        line = _decoded(raw, line_no).strip()
         if line.startswith("#"):
             alphabet = _parse_alphabet_comment(line, line_no) or alphabet
         elif line:
@@ -125,8 +125,15 @@ def _read_header(lines) -> tuple[tuple[int, ...] | None, tuple[str, ...]]:
                 raise ParseError(f"line {line_no}: empty column name in header")
             if len(set(parts)) != len(parts):
                 raise ParseError(f"line {line_no}: duplicate column names")
-            return alphabet, tuple(parts)
+            return alphabet, tuple(parts), line_no
     raise ParseError("line 1: missing header row")
+
+
+def _decoded(raw: bytes, line_no: int) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError:
+        raise ParseError(f"line {line_no}: not valid UTF-8") from None
 
 
 def _symbol_block(rows: list[tuple[int, str]], width: int) -> np.ndarray:
@@ -149,112 +156,103 @@ def _symbol_block(rows: list[tuple[int, str]], width: int) -> np.ndarray:
             for part in parts:
                 try:
                     np.int64(part)
-                except (ValueError, OverflowError) as exc:
+                except ValueError as exc:
                     raise ParseError(
                         f"line {line_no}: not an integer symbol: {part!r}"
+                    ) from exc
+                except OverflowError as exc:
+                    raise ParseError(
+                        f"line {line_no}: symbol out of int64 range: {part!r}"
                     ) from exc
         raise
 
 
-def _parse_lines(path: Path):
-    """The line-by-line parser: alphabet, names and an iterator of columns."""
-    blocks: list[np.ndarray] = []
+def _convert_lines(lines: list[bytes], line_no: int, width: int) -> np.ndarray:
+    """The data rows of ``lines``, the first being line ``line_no``, as a
+    ``(rows, width)`` int64 array; blank and comment lines are skipped."""
     rows: list[tuple[int, str]] = []
-
-    def convert_rows() -> None:
-        if rows:
-            blocks.append(_symbol_block(rows, len(names)))
-            rows.clear()
-
-    with path.open("r", encoding="utf-8") as handle:
-        lines = enumerate(handle, start=1)
-        alphabet, names = _read_header(lines)
-        for line_no, raw in lines:
-            line = raw.strip()
-            if not line:
-                continue
+    for line_no, raw in enumerate(lines, start=line_no):
+        try:
+            line = _decoded(raw, line_no).strip()
             if line.startswith("#"):
-                # Errors in the rows above this line come first.
-                convert_rows()
                 if _parse_alphabet_comment(line, line_no) is not None:
                     raise ParseError(
                         f"line {line_no}: {ALPHABET_KEY} must precede the header"
                     )
-                continue
-            rows.append((line_no, line))
-            if len(rows) == BLOCK_ROWS:
-                convert_rows()
-    convert_rows()
-    if not blocks:
-        raise ParseError(f"no data rows under header for {path}")
-    columns = (
-        np.concatenate([block[:, position] for block in blocks])
-        for position in range(len(names))
-    )
-    return alphabet, names, columns
+            elif line:
+                rows.append((line_no, line))
+        except ParseError:
+            # Errors in the rows above this line come first.
+            _symbol_block(rows, width)
+            raise
+    return _symbol_block(rows, width)
 
 
-def _parse_digits(data: bytes):
-    """The fast path: what :func:`_parse_lines` returns, with the columns
-    as rows of one ``(width, rows)`` array, or ``None`` to defer to it."""
-    if b"\r" in data:
+def _digit_rows(chunk: np.ndarray, lines: int, width: int) -> np.ndarray | None:
+    """``chunk``'s ``lines`` lines as a ``(lines, width)`` int64 array if
+    each is ``width`` tokens of 1 to 18 ASCII digits joined by ``,``, else
+    ``None``.  The chunk's last line feed is implied."""
+    row_ends = (b"," * (width - 1) + b"\n") * lines
+    separators = np.frombuffer(row_ends, dtype=np.uint8)
+    digits = chunk - np.uint8(ord("0"))
+    ends = np.append(np.flatnonzero(digits > 9), chunk.size)
+    lengths = np.diff(ends, prepend=-1) - 1
+    # 18 digits always fit in int64.
+    if (
+        ends.size != separators.size
+        or not np.array_equal(chunk[ends[:-1]], separators[:-1])
+        or not 1 <= lengths.min() <= lengths.max() <= 18
+    ):
         return None
-    buffer = BytesIO(data)
-    try:
-        alphabet, names = _read_header(
-            (line_no, raw.decode("utf-8")) for line_no, raw in enumerate(buffer, 1)
-        )
-    except (ParseError, UnicodeDecodeError):
-        return None
-    body = np.frombuffer(data, dtype=np.uint8)[buffer.tell() :]
-    if body.size == 0:
-        return None
-    # Row r ends at stops[r]: its line feed, or the end of the file.
+    values = np.zeros(ends.size, dtype=np.int64)
+    for place in range(lengths.max(), 0, -1):
+        live = lengths >= place
+        values[live] = values[live] * 10 + digits[ends[live] - place]
+    return values.reshape(lines, width)
+
+
+def _read_body(body: np.ndarray, width: int, line_no: int) -> np.ndarray:
+    """The data rows of ``body``, whose first line is line ``line_no``, as
+    the columns of one ``(width, rows)`` int64 array."""
+    # Line r ends at stops[r]: its line feed, or the end of the file.
     stops = np.flatnonzero(body == ord("\n"))
-    if body[-1] != ord("\n"):
+    if body.size and body[-1] != ord("\n"):
         stops = np.append(stops, body.size)
-    width = len(names)
-    row_end = np.frombuffer(b"," * (width - 1) + b"\n", dtype=np.uint8)
-    separators = np.tile(row_end, BLOCK_ROWS)
     columns = np.empty((width, stops.size), dtype=np.int64)
-    start = 0
+    filled = start = 0
     for first in range(0, stops.size, BLOCK_ROWS):
         block_stops = stops[first : first + BLOCK_ROWS]
-        chunk = body[start : block_stops[-1]]  # its last separator is implied
-        digits = chunk - np.uint8(ord("0"))
-        ends = np.append(np.flatnonzero(digits > 9), chunk.size)
-        lengths = np.diff(ends, prepend=-1) - 1
-        # 18 digits always fit in int64.
-        if (
-            ends.size != block_stops.size * width
-            or not np.array_equal(chunk[ends[:-1]], separators[: ends.size - 1])
-            or not 1 <= lengths.min() <= lengths.max() <= 18
-        ):
-            return None
-        values = np.zeros(ends.size, dtype=np.int64)
-        for place in range(lengths.max(), 0, -1):
-            live = lengths >= place
-            values[live] = values[live] * 10 + digits[ends[live] - place]
-        columns[:, first : first + block_stops.size] = values.reshape(-1, width).T
+        chunk = body[start : block_stops[-1]]
+        block = _digit_rows(chunk, block_stops.size, width)
+        if block is None:
+            block = _convert_lines(chunk.tobytes().split(b"\n"), line_no + first, width)
+        columns[:, filled : filled + len(block)] = block.T
+        filled += len(block)
         start = block_stops[-1] + 1
-    return alphabet, names, columns
+        del block  # before the next block's temporaries
+    return columns[:, :filled]
 
 
 def parse_series_csv(path: Path | str) -> SeriesFile:
     """Read a symbol-series CSV (see the module docstring for the format).
 
-    The fast path takes a file whose rows below the header each hold the
-    header's width of tokens of 1 to 18 ASCII digits, joined by ``,`` and
-    ended by a line feed (optional on the last row).  A comment, blank
-    line, carriage return, space, sign, longer token or non-ASCII digit
-    below the header sends the file to the line-by-line parser instead.
+    The body is converted ``BLOCK_ROWS`` lines at a time.  A block whose
+    lines each hold the header's width of 1- to 18-digit ASCII tokens
+    joined by ``,`` takes array arithmetic; any other block (a blank or
+    comment line, a space, sign, longer token or non-ASCII digit) is
+    converted line by line, which names the first bad line of a file.
     """
     path = Path(path)
-    # The bytes are released when the fast path returns, before the checks.
-    parsed = _parse_digits(path.read_bytes())
-    if parsed is None:
-        parsed = _parse_lines(path)
-    alphabet, names, columns = parsed
+    data = path.read_bytes()
+    if b"\r" in data:  # as in text mode, "\r\n" and a lone "\r" end a line
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    buffer = BytesIO(data)
+    alphabet, names, line_no = _read_header(buffer)
+    body = np.frombuffer(data, dtype=np.uint8)[buffer.tell() :]
+    columns = _read_body(body, len(names), line_no + 1)
+    del data, buffer, body  # the bytes are released before the checks
+    if columns.shape[1] == 0:
+        raise ParseError(f"no data rows under header for {path}")
     if alphabet is not None and len(alphabet) != len(names):
         raise ParseError(
             f"{ALPHABET_KEY} declares {len(alphabet)} columns, header has {len(names)}"

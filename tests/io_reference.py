@@ -132,6 +132,10 @@ def parse_series_csv(path: Path | str) -> SeriesFile:
                     raise ParseError(
                         f"line {line_no}: not an integer symbol: {part!r}"
                     ) from exc
+                if not -(2**63) <= column[-1] < 2**63:
+                    raise ParseError(
+                        f"line {line_no}: symbol out of int64 range: {part!r}"
+                    )
     if names is None:
         raise ParseError("line 1: missing header row")
     if not columns[0]:

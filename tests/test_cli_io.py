@@ -7,14 +7,19 @@ determinism is asserted as byte equality of emitted artifacts.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import citom
 from citom.cli import PIKL_DEMO_DEFAULTS, main
 from citom.info_measures import JointSeries, SymbolSeries, excess_tdmi
 from citom.io import (
+    BLOCK_ROWS,
     ParseError,
     SeriesFile,
     atomic_write_text,
@@ -118,7 +123,7 @@ class TestParseSeriesCsv:
             ("x,\n0,0\n", "line 1: empty column name"),
             ("x,y\n0\n", "line 2: expected 2 fields, got 1"),
             ("x,y\n0,1\n1,oops\n", "line 3: not an integer symbol"),
-            ("x\n0\n99999999999999999999\n", "line 3: not an integer symbol"),
+            ("x\n0\n99999999999999999999\n", "line 3: symbol out of int64 range"),
             ("x\n0\n# alphabet_size: 2\n", "line 3: .* must precede the header"),
             ("# alphabet_size: two\nx\n0\n", "line 1: malformed"),
             ("# alphabet_size: 0\nx\n0\n", "line 1: alphabet sizes must be >= 1"),
@@ -306,6 +311,32 @@ class TestCliSimulate:
         payload = json.loads((out / "measures.json").read_text())
         assert [entry["joint_tdmi"] for entry in payload["measures"]] == [1.0, 0.0]
 
+    @pytest.mark.skipif(not Path("/dev/stdin").exists(), reason="no /dev/stdin")
+    @pytest.mark.parametrize(
+        "data",
+        [b"a,b\r\n1,0\r\n0,1\r\n1,1\r\n", b"a,b\n1,0\n 0,1\n1,1\n"],
+        ids=["crlf", "space-padded row"],
+    )
+    def test_measure_reads_a_pipe(self, tmp_path: Path, data: bytes) -> None:
+        # The file can be read only once, as from a shell pipe.
+        src = str(Path(citom.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        ))
+        path = tmp_path / "series.csv"
+        path.write_bytes(data)
+        measures = []
+        for source, stdin in [("/dev/stdin", data), (str(path), b"")]:
+            out = tmp_path / f"out{len(measures)}"
+            result = subprocess.run(
+                [sys.executable, "-m", "citom.cli", "measure", "--input", source,
+                 "--taus", "1", "--out", str(out)],
+                input=stdin, env=env, capture_output=True,
+            )
+            assert result.returncode == 0, result.stderr
+            measures.append((out / "measures.csv").read_bytes())
+        assert measures[0] == measures[1]
+
 
 class TestCliPiklDemo:
     def test_default_instance(self, tmp_path: Path, capsys) -> None:
@@ -400,6 +431,29 @@ class TestCliFailureModes:
         )
         assert code == 1
         assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        ("data", "message"),
+        [
+            (b"# alphabet_size: 2,2\na,\xffb\n0,1\n", "line 2: not valid UTF-8"),
+            (b"a,b\n0,\xff\n1,1\n", "line 2: not valid UTF-8"),
+            (
+                b"a,b\n" + b"0,1\n" * (BLOCK_ROWS + 3) + b"1,1\xff\n0,0\n",
+                f"line {BLOCK_ROWS + 5}: not valid UTF-8",
+            ),
+            # Errors keep file order.
+            (b"a,b\n0,1\n0\n1,\xff\n", "line 3: expected 2 fields, got 1"),
+        ],
+        ids=["header", "first row", "past the first block", "after a bad row"],
+    )
+    def test_invalid_utf8_names_its_line(
+        self, tmp_path: Path, capsys, data: bytes, message: str
+    ) -> None:
+        path = tmp_path / "series.csv"
+        path.write_bytes(data)
+        code = main(["measure", "--input", str(path), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_bad_pikl_config_exits_one(self, tmp_path: Path, capsys) -> None:
         config_path = tmp_path / "config.json"

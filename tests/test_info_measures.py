@@ -344,15 +344,17 @@ class TestResourceBounds:
         # The returned int64 columns alone are 18.3 MiB.
         names = tuple(f"a{i + 1}" for i in range(12))
         joint = _binary_agents(len(names), 200_000, seed=7)
+        text = series_csv_text(SeriesFile(names, joint))
         path = tmp_path / "series.csv"
-        path.write_text(series_csv_text(SeriesFile(names, joint)), encoding="utf-8")
-        tracemalloc.start()
-        try:
-            parse_series_csv(path)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 40 * 2**20
+        for newline in ("\n", "\r\n"):
+            path.write_bytes(text.replace("\n", newline).encode("utf-8"))
+            tracemalloc.start()
+            try:
+                parse_series_csv(path)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 40 * 2**20, newline
 
     def test_measuring_loads_no_numpy_ma(self) -> None:
         src = str(Path(info_measures.__file__).resolve().parents[1])

@@ -205,6 +205,7 @@ FAST_PATH_DEFECTS = (
     lambda row: row + ",0",
     lambda row: _with_first_cell(row, "\u0663"),
     lambda row: _with_first_cell(row, "\uff11\uff12"),
+    lambda row: _with_first_cell(row, "9" * 20),
 )
 
 
@@ -285,15 +286,28 @@ class TestFastPathMatchesReference:
         joint = JointSeries(
             tuple(SymbolSeries(rng.integers(0, 2, 2 * BLOCK_ROWS + 5), 2) for _ in names)
         )
+        text = series_csv_text(SeriesFile(names, joint))
+        lines = text.split("\n")
+        lines[BLOCK_ROWS + 9] = " " + lines[BLOCK_ROWS + 9]
+        passed: list[int] = []
+        symbol_block = citom_io._symbol_block
+
+        def spy(rows, width):
+            passed.append(len(rows))
+            return symbol_block(rows, width)
+
+        monkeypatch.setattr(citom_io, "_symbol_block", spy)
         path = tmp_path / "series.csv"
-        path.write_text(series_csv_text(SeriesFile(names, joint)), encoding="utf-8")
-        expected = parse_outcome(reference.parse_series_csv, path)
-
-        def line_parser(*args):
-            raise AssertionError("line-by-line parser used")
-
-        monkeypatch.setattr(citom_io, "_symbol_block", line_parser)
-        assert parse_outcome(parse_series_csv, path) == expected
-        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
-        with pytest.raises(AssertionError, match="line-by-line"):
-            parse_series_csv(path)
+        # Rows sent line by line: none for digit rows, one block at most
+        # for a block holding another kind of line.
+        for variant, least, most in [
+            (text, 0, 0),
+            (text.replace("\n", "\r\n"), 0, 0),
+            (text + "\n# end\n", 0, BLOCK_ROWS),
+            ("\n".join(lines), 1, BLOCK_ROWS),
+        ]:
+            path.write_bytes(variant.encode("utf-8"))
+            passed.clear()
+            expected = parse_outcome(reference.parse_series_csv, path)
+            assert parse_outcome(parse_series_csv, path) == expected
+            assert least <= sum(passed) <= most
