@@ -4,13 +4,10 @@ Matching pennies pits a reward-driven learner (the "monkey") against a
 computer opponent that escalates through three algorithms: algorithm 0
 plays uniformly at random, algorithm 1 tests the learner's recent choice
 patterns for bias, and algorithm 2 additionally tests choice-and-reward
-patterns.  Both tests are exact two-sided binomial tests against 0.5,
-computed from an exact integer tail sum; the integer states live in a
-bounded least-recently-used cache keyed by ``(tail, trials)``, so a count
-that moves by one trial per visit costs one integer step instead of a
-fresh sum.  While the null is retained the predictor behaves exactly like
-algorithm 0, which the constructor's injectable ``pvalue_fn`` lets tests
-force.
+patterns.  Both tests are exact two-sided binomial tests against 0.5.  A
+test rejects by the critical tail of its count; algorithm 2 also takes the
+exact p-values of rejecting statistics, to exploit the smaller.  While the
+null is retained the predictor behaves exactly like algorithm 0.
 
 The orchestrated triad couples a signal-following orchestrator to two
 myopic workers who always play the unique strict pure equilibrium of the
@@ -23,7 +20,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from math import exp, isfinite
-from typing import Callable, ClassVar
+from typing import ClassVar
 
 from .game_core import (
     COOPERATE,
@@ -103,6 +100,32 @@ def _tail_state(t: int, n: int) -> tuple[int, int, float]:
     return total, coefficient, pvalue
 
 
+_critical: dict[float, list[int]] = {}  # by significance level
+
+
+def _critical_tails(alpha: float, trials: int) -> list[int]:
+    """The critical-tail list ``c`` of ``alpha``, grown in place to cover ``trials``.
+
+    ``c[n]`` is the largest tail ``t`` with ``binomial_pvalue_half(t, n) < alpha``,
+    or -1 if none.  Exactly, because the p-value ``2 S(t, n) / 2**n`` of the tail
+    sum ``S`` keeps its order through rounding and the cap at 1, and a balanced
+    count's p-value 1 exceeds ``alpha``:
+
+    * ``S`` grows with ``t``, so ``k`` of ``n`` rejects iff ``min(k, n - k) <= c[n]``.
+    * ``S(t, n+1) = S(t, n) + S(t-1, n) <= 2 S(t, n)``, so ``c[n+1] >= c[n]``.
+    * ``S(t+1, n+1) = S(t+1, n) + S(t, n) >= 2 S(t, n)``, so ``c[n+1] <= c[n] + 1``.
+
+    So each new ``n`` takes one p-value, one cached step from the last.
+    """
+    critical = _critical.setdefault(alpha, [-1])
+    tail = critical[-1]
+    for n in range(len(critical), trials + 1):
+        if binomial_pvalue_half(tail + 1, n) < alpha:
+            tail += 1
+        critical.append(tail)
+    return critical
+
+
 # Opponent trials in one n-gram context.  The per-trial methods read this
 # global, not the class constant: CPython 3.11 does not specialise reading
 # a class attribute through an instance, which took about 35 ns more per
@@ -127,17 +150,15 @@ class MatchingPenniesPredictor:
       rejected one with the smaller p-value (ties fall back to the
       choice-only statistic).
 
-    Histories shorter than 5 trials always yield 50:50 (cold start).
-    While the null is retained the response probability is 0.5, exactly
-    as under algorithm 0, which ``pvalue_fn=lambda k, n: 1.0`` exposes
-    directly.  The caller draws the action: 1 when its uniform falls below
-    ``response_probability()``.
+    Histories shorter than 5 trials always yield 50:50 (cold start).  A
+    statistic rejects by its count's critical tail (``_critical_tails``),
+    and a retained null gives 0.5 exactly, as algorithm 0 does.  The caller
+    draws action 1 when its uniform falls below ``response_probability()``.
     """
 
     algorithm_id: int
     significance_level: float = 0.05
     context_length: ClassVar[int] = _CONTEXT_LENGTH
-    pvalue_fn: Callable[[int, int], float] = binomial_pvalue_half
 
     def __post_init__(self) -> None:
         if self.algorithm_id not in (0, 1, 2):
@@ -145,6 +166,7 @@ class MatchingPenniesPredictor:
         if not 0.0 < self.significance_level < 1.0:
             raise ValueError("significance_level must lie in (0, 1)")
         self._trials = 0
+        self._critical = _critical_tails(self.significance_level, 0)
         # Count tables indexed by rolling context codes: low bits hold the
         # most recent step.  Entries are [action-1 count, total count].
         self._choice_table = [[0, 0] for _ in range(1 << self.context_length)]
@@ -162,21 +184,24 @@ class MatchingPenniesPredictor:
         """Probability of playing action 1 at the current history."""
         if self.algorithm_id == 0 or self._trials < _CONTEXT_LENGTH + 1:
             return 0.5
-        response = 0.5
-        # A statistic is exploited when it rejects at a p-value below the
-        # best so far, so the pair statistic wins only a strictly smaller one.
-        best = self.significance_level
+        critical = self._critical
         ones, total = self._choice_table[self._choice_ctx]
-        if total:
-            pvalue = self.pvalue_fn(ones, total)
-            if pvalue < best:
-                best, response = pvalue, 1.0 - ones / total
+        # The pair context refines the choice context, so the list covers
+        # its count too.  An empty count has tail 0 > c[0] = -1.
+        if total >= len(critical):
+            self._critical = critical = _critical_tails(self.significance_level, total)
+        response = 0.5
+        best = self.significance_level
+        tail = ones if 2 * ones < total else total - ones
+        if tail <= critical[total]:
+            if self.algorithm_id == 1:
+                return 1.0 - ones / total
+            best, response = binomial_pvalue_half(ones, total), 1.0 - ones / total
         if self.algorithm_id == 2:
             ones, total = self._pair_table[self._pair_ctx]
-            if total:
-                pvalue = self.pvalue_fn(ones, total)
-                if pvalue < best:
-                    response = 1.0 - ones / total
+            tail = ones if 2 * ones < total else total - ones
+            if tail <= critical[total] and binomial_pvalue_half(ones, total) < best:
+                response = 1.0 - ones / total
         return response
 
     def observe(self, opponent_choice: int, opponent_reward: int) -> None:

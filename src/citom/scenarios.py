@@ -96,11 +96,10 @@ class MatchingPenniesConfig:
     inverse_temperature: float = 3.0
 
     def __post_init__(self) -> None:
-        if self.algorithm_id not in (0, 1, 2):
-            raise ValueError(f"algorithm_id must be 0, 1 or 2, got {self.algorithm_id}")
+        # The agents' own checks, run when the config is built.
+        MatchingPenniesPredictor(self.algorithm_id, self.significance_level)
         if self.steps < 2:
             raise ValueError(f"steps must be >= 2, got {self.steps}")
-        # The learner's own checks, run when the config is built.
         DeltaRuleLearner(self.learning_rate, self.inverse_temperature)
         object.__setattr__(self, "taus", _validated_taus(self.taus, self.steps))
 
@@ -252,23 +251,24 @@ def run_matching_pennies(config: MatchingPenniesConfig) -> MatchingPenniesLog:
         config.algorithm_id, config.significance_level
     )
     learner = DeltaRuleLearner(config.learning_rate, config.inverse_temperature)
-    steps = config.steps
-    monkey = np.empty(steps, dtype=np.int64)
-    computer = np.empty(steps, dtype=np.int64)
-    monkey_reward = np.empty(steps, dtype=np.int64)
     # Each agent draws one uniform per trial and plays 1 below its
     # probability of action 1, computer first: uniform 2t is the
-    # computer's and 2t+1 the learner's, all from one batched draw.
-    draws = iter(rng.random(2 * steps).tolist())
-    for t, (computer_draw, monkey_draw) in enumerate(zip(draws, draws)):
+    # computer's and 2t+1 the learner's, all from one batched draw.  Lists
+    # take the actions, converted once after the loop.
+    draws = iter(rng.random(2 * config.steps).tolist())
+    monkey_choices: list[int] = []
+    computer_choices: list[int] = []
+    for computer_draw, monkey_draw in zip(draws, draws):
         c = 1 if computer_draw < predictor.response_probability() else 0
         m = 1 if monkey_draw < learner.action_probability() else 0
         reward = 1 if m == c else 0
         predictor.observe(m, reward)
         learner.update(m, float(reward))
-        monkey[t] = m
-        computer[t] = c
-        monkey_reward[t] = reward
+        monkey_choices.append(m)
+        computer_choices.append(c)
+    monkey = np.array(monkey_choices, dtype=np.int64)
+    computer = np.array(computer_choices, dtype=np.int64)
+    monkey_reward = (monkey == computer).astype(np.int64)
     computer_reward = 1 - monkey_reward
     for array in (monkey, computer, monkey_reward, computer_reward):
         array.setflags(write=False)

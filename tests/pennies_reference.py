@@ -46,7 +46,8 @@ class ReferencePredictor(MatchingPenniesPredictor):
     def __init__(
         self, algorithm_id: int, significance_level: float = 0.05, pvalue_fn=bdtr_pvalue
     ) -> None:
-        super().__init__(algorithm_id, significance_level, pvalue_fn=pvalue_fn)
+        super().__init__(algorithm_id, significance_level)
+        self.pvalue_fn = pvalue_fn
 
     def response_probability(self) -> float:
         if self.algorithm_id == 0 or self._trials < self.context_length + 1:

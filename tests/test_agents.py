@@ -147,13 +147,15 @@ class TestMatchingPenniesPredictor:
         assert deviated / trials < 0.25
 
     def test_forced_retention_recovers_algorithm_zero(self) -> None:
+        # p(0, n) = 2**(1 - n) > 1e-100 for n <= 333, so no count of these
+        # 300 trials rejects: every critical tail is -1.
         rng = np.random.default_rng(11)
         script = [(int(rng.integers(0, 2)), int(rng.integers(0, 2))) for _ in range(300)]
-        stubbed = MatchingPenniesPredictor(2, pvalue_fn=lambda k, n: 1.0)
+        retained = MatchingPenniesPredictor(2, significance_level=1e-100)
         baseline = MatchingPenniesPredictor(0)
         for choice, reward in script:
-            assert stubbed.response_probability() == baseline.response_probability()
-            stubbed.observe(choice, reward)
+            assert retained.response_probability() == baseline.response_probability()
+            retained.observe(choice, reward)
             baseline.observe(choice, reward)
 
     @pytest.mark.parametrize("algorithm_id", [1, 2])

@@ -1,11 +1,14 @@
 """Exact binomial tails and the batched matching-pennies loop against references.
 
 ``pennies_reference`` holds scipy's ``bdtr`` p-value, an exact
-``Fraction`` p-value and the per-trial loop in which each agent draws
-its own uniform.  The production p-value must equal the exact one
-bit for bit (whichever way its tail cache reached the state), must make
-the same ``< 0.05`` decision as ``bdtr``, and ``run_matching_pennies``
-must give the reference's episodes byte for byte.
+``Fraction`` p-value, the predictor that decides from a candidate list
+of p-values and the per-trial loop in which each agent draws its own
+uniform.  The production p-value must equal the exact one bit for bit
+(whichever way its tail cache reached the state), must make the same
+``< 0.05`` decision as ``bdtr``, the critical-tail lists must equal a
+brute-force search over that p-value, the predictor must decide as the
+candidate list does, and ``run_matching_pennies`` must give the
+reference's episodes byte for byte.
 """
 
 from __future__ import annotations
@@ -47,29 +50,72 @@ class TestEpisodes:
         config = MatchingPenniesConfig(algorithm_id, steps=steps, seed=seed, taus=(1,))
         assert_same_episode(config)
 
-    @pytest.mark.parametrize("algorithm_id, seed", [(1, 2024), (2, 7)])
-    def test_long_sessions_match_reference(self, algorithm_id: int, seed: int) -> None:
-        assert_same_episode(MatchingPenniesConfig(algorithm_id, steps=10_000, seed=seed))
+    @pytest.mark.parametrize(
+        "algorithm_id, seed, alpha",
+        [(1, 2024, 0.05), (2, 7, 0.05), (1, 2025, 0.01), (2, 8, 0.2)],
+        ids=["1-2024", "2-7", "1-2025-alpha0.01", "2-8-alpha0.2"],
+    )
+    def test_long_sessions_match_reference(
+        self, algorithm_id: int, seed: int, alpha: float
+    ) -> None:
+        assert_same_episode(
+            MatchingPenniesConfig(
+                algorithm_id, steps=10_000, seed=seed, significance_level=alpha
+            )
+        )
 
 
-def tying_pvalue(successes: int, trials: int) -> float:
-    """A stand-in p-value that rejects often, ties often and hits alpha."""
-    return (0.0, 0.02, 0.05, 0.02, 0.5)[min(successes, trials - successes) % 5]
+# Significance levels that are themselves p-values, so a statistic sits
+# exactly at alpha and must not reject.
+ATTAINED_ALPHAS = (2**-10, binomial_pvalue_half(3, 20))
 
 
 class TestDecisionRule:
+    def test_matches_reference_under_ties(self) -> None:
+        # Choice context (0, 0, 0, 0) ends at 1 of 15 and the pair context
+        # ((0, 1),) * 4 at 0 of 11: both p-values are exactly 2**-10.
+        script = [(0, 0)] * 4 + [(1, 0)] + [(0, 0)] * 3 + [(0, 1)] * 15
+        for alpha, response in [(0.05, 1 - 1 / 15), (2**-10, 0.5)]:
+            predictor = MatchingPenniesPredictor(2, alpha)
+            expected = reference.ReferencePredictor(2, alpha, reference.exact_pvalue)
+            for choice, reward in script:
+                assert predictor.response_probability() == expected.response_probability()
+                predictor.observe(choice, reward)
+                expected.observe(choice, reward)
+            assert predictor._choice_table[predictor._choice_ctx] == [1, 15]
+            assert predictor._pair_table[predictor._pair_ctx] == [0, 11]
+            assert binomial_pvalue_half(1, 15) == binomial_pvalue_half(0, 11) == 2**-10
+            # The tie goes to the choice statistic; at alpha = 2**-10
+            # neither statistic rejects.
+            assert predictor.response_probability() == response
+            assert expected.response_probability() == response
+
     @settings(max_examples=60, deadline=None)
     @given(
         algorithm_id=st.sampled_from([1, 2]),
         seed=st.integers(0, 2**32 - 1),
         trials=st.integers(0, 400),
+        choice_bias=st.floats(0.0, 1.0),
+        reward_bias=st.floats(0.0, 1.0),
+        alpha=st.one_of(
+            st.sampled_from(ATTAINED_ALPHAS),
+            st.floats(1e-12, 0.99),
+        ),
     )
-    def test_matches_reference_under_ties(
-        self, algorithm_id: int, seed: int, trials: int
+    def test_matches_reference_on_exact_pvalues(
+        self,
+        algorithm_id: int,
+        seed: int,
+        trials: int,
+        choice_bias: float,
+        reward_bias: float,
+        alpha: float,
     ) -> None:
-        predictor = MatchingPenniesPredictor(algorithm_id, pvalue_fn=tying_pvalue)
-        expected = reference.ReferencePredictor(algorithm_id, pvalue_fn=tying_pvalue)
-        for choice, reward in np.random.default_rng(seed).integers(0, 2, (trials, 2)).tolist():
+        predictor = MatchingPenniesPredictor(algorithm_id, alpha)
+        expected = reference.ReferencePredictor(algorithm_id, alpha, reference.exact_pvalue)
+        draws = np.random.default_rng(seed).random((trials, 2))
+        stream = (draws < [choice_bias, reward_bias]).astype(int).tolist()
+        for choice, reward in stream:
             assert predictor.response_probability() == expected.response_probability()
             predictor.observe(choice, reward)
             expected.observe(choice, reward)
@@ -123,6 +169,7 @@ class TestExactPvalue:
 
     def test_rejection_agrees_with_bdtr(self) -> None:
         agents._tail_states.clear()
+        critical = agents._critical_tails(0.05, 2000)
         for trials in range(0, 2001):
             successes = np.arange(trials + 1)
             tails = np.minimum(successes, trials - successes)
@@ -130,6 +177,32 @@ class TestExactPvalue:
             expected[2 * tails == trials] = False
             actual = [binomial_pvalue_half(k, trials) < 0.05 for k in range(trials + 1)]
             assert actual == expected.tolist(), trials
+            assert critical[trials] == tails[expected].max(initial=-1), trials
+
+
+class TestCriticalTails:
+    def test_matches_brute_force(self) -> None:
+        alphas = (0.05, 0.01, 0.5, 1e-6, *ATTAINED_ALPHAS)
+        last = 1000
+        agents._critical.clear()
+        agents._tail_states.clear()
+        # Growth order must not matter: one list is grown to the end at
+        # once, two are grown in turns one trial at a time, and the rest
+        # in uneven strides.
+        lists = {alphas[0]: agents._critical_tails(alphas[0], last)}
+        for trials in range(last + 1):
+            for alpha in alphas[1:3]:
+                lists[alpha] = agents._critical_tails(alpha, trials)
+        for alpha in alphas[3:]:
+            for trials in range(0, last, 37):
+                agents._critical_tails(alpha, trials)
+            lists[alpha] = agents._critical_tails(alpha, last)
+        for trials in range(last + 1):
+            # Row by row, every state is one cached step from the last row.
+            pvalues = [binomial_pvalue_half(t, trials) for t in range(trials // 2 + 1)]
+            for alpha in alphas:
+                expected = max((t for t, p in enumerate(pvalues) if p < alpha), default=-1)
+                assert lists[alpha][trials] == expected, (alpha, trials)
 
 
 class TestTailCache:

@@ -43,6 +43,11 @@ class TestConfigs:
         with pytest.raises(ValueError):
             MatchingPenniesConfig(algorithm_id=0, steps=10, taus=(12,))
 
+    @pytest.mark.parametrize("alpha", [1.5, 0.0, -0.1, np.nan])
+    def test_matching_pennies_bad_significance_level_rejected(self, alpha: float) -> None:
+        with pytest.raises(ValueError, match="significance_level must lie in"):
+            MatchingPenniesConfig(algorithm_id=1, steps=200, significance_level=alpha)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_matching_pennies_non_finite_learner_rejected(self, bad: float) -> None:
         with pytest.raises(ValueError, match="inverse_temperature must be finite"):
