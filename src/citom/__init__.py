@@ -19,7 +19,6 @@ from .info_measures import (
     MeasureReport,
     SymbolSeries,
     build_lag_pairs,
-    entropy,
     excess_tdmi,
     mutual_information,
     tdmi,
@@ -28,13 +27,11 @@ from .game_core import (
     COOPERATE,
     DEFECT,
     EffectiveGameParam,
-    GameClass,
     GameTable,
     NashEquilibrium,
     NashSet,
     SignConvention,
     UtilityPolynomial,
-    classify_game,
     cofactors_2x2,
     cofactors_n,
     effective_game,
@@ -94,7 +91,6 @@ __all__ = [
     "MeasureReport",
     "build_lag_pairs",
     "mutual_information",
-    "entropy",
     "tdmi",
     "excess_tdmi",
     "COOPERATE",
@@ -105,7 +101,6 @@ __all__ = [
     "NashEquilibrium",
     "NashSet",
     "SignConvention",
-    "GameClass",
     "profile_index",
     "profile_actions",
     "cofactors_2x2",
@@ -113,7 +108,6 @@ __all__ = [
     "evaluate",
     "effective_game",
     "pure_nash",
-    "classify_game",
     "triadic_utilities",
     "MatchingPenniesPredictor",
     "DeltaRuleLearner",

@@ -11,8 +11,8 @@ null is retained the predictor behaves exactly like algorithm 0.
 
 The orchestrated triad couples a signal-following orchestrator to two
 myopic workers who always play the unique strict pure equilibrium of the
-effective game currently in force (falling back to a configured
-status-quo action when no unique strict equilibrium exists).
+effective game currently in force (falling back to Defect, the status
+quo, when no unique strict equilibrium exists).
 """
 
 from __future__ import annotations
@@ -176,10 +176,6 @@ class MatchingPenniesPredictor:
         self._choice_mask = (1 << self.context_length) - 1
         self._pair_mask = (1 << (2 * self.context_length)) - 1
 
-    @property
-    def trials_observed(self) -> int:
-        return self._trials
-
     def response_probability(self) -> float:
         """Probability of playing action 1 at the current history."""
         if self.algorithm_id == 0 or self._trials < _CONTEXT_LENGTH + 1:
@@ -263,17 +259,15 @@ class DeltaRuleLearner:
         self.values[action] += self.learning_rate * (reward - self.values[action])
 
 
-def equilibrium_action(
-    table: GameTable, player: int, tie_break: int = DEFECT
-) -> int:
+def equilibrium_action(table: GameTable, player: int) -> int:
     """Myopic equilibrium play: the player's side of the unique strict NE.
 
     When the table has exactly one strict pure equilibrium the player
     takes their component of it.  Any ambiguity (no strict equilibrium,
     as on the degenerate boundary of the effective family, or several)
-    resolves to the ``tie_break`` action, Defect by default as the
-    conservative status quo.  A table with no pure equilibrium at all is
-    an error: this agent has no notion of mixed play.
+    resolves to Defect, the conservative status quo.  A table with no
+    pure equilibrium at all is an error: this agent has no notion of
+    mixed play.
     """
     equilibria = pure_nash(table)
     if not len(equilibria):
@@ -281,9 +275,7 @@ def equilibrium_action(
     strict = equilibria.strict_equilibria
     if len(strict) == 1:
         return strict[0].actions[player]
-    if tie_break not in (COOPERATE, DEFECT):
-        raise ValueError(f"tie_break must be +1 or -1, got {tie_break!r}")
-    return tie_break
+    return DEFECT
 
 
 @dataclass(frozen=True)

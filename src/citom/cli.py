@@ -57,6 +57,7 @@ from .scenarios import (
     measure_log,
     run_matching_pennies,
     run_triadic,
+    validated_taus,
 )
 from .tom_policy import (
     BeliefState,
@@ -79,14 +80,11 @@ __all__ = ["main", "build_parser", "run_pikl_demo", "PIKL_DEMO_DEFAULTS"]
 
 def _parse_taus(text: str) -> tuple[int, ...]:
     try:
-        taus = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"lags must be comma-separated integers, got {text!r}"
         )
-    if not taus:
-        raise argparse.ArgumentTypeError("at least one lag is required")
-    return taus
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -216,10 +214,10 @@ def _cmd_simulate(args, parser: argparse.ArgumentParser) -> int:
 
 def _cmd_measure(args, parser: argparse.ArgumentParser) -> int:
     series_file = parse_series_csv(args.input)
-    length = len(series_file.series)
-    for tau in args.taus:
-        if not 1 <= tau < length:
-            parser.error(f"lag {tau} needs a series longer than {length} steps")
+    try:
+        validated_taus(args.taus, len(series_file.series))
+    except ValueError as exc:
+        parser.error(str(exc))
     reports = tuple(excess_tdmi(series_file.series, tau) for tau in args.taus)
     outdir = _prepare_outdir(args.out)
     config_payload = {"input": str(args.input), "taus": list(args.taus)}

@@ -32,7 +32,6 @@ import numpy as np
 
 __all__ = [
     "SignConvention",
-    "GameClass",
     "GameTable",
     "UtilityPolynomial",
     "EffectiveGameParam",
@@ -45,7 +44,6 @@ __all__ = [
     "evaluate",
     "effective_game",
     "pure_nash",
-    "classify_game",
     "triadic_utilities",
 ]
 
@@ -58,12 +56,6 @@ class SignConvention(enum.Enum):
 
     COOPERATE_POSITIVE = "cooperate_positive"
     DEFECT_POSITIVE = "defect_positive"
-
-
-class GameClass(enum.Enum):
-    PRISONERS_DILEMMA = "prisoners_dilemma"
-    HARMONY = "harmony"
-    DEGENERATE = "degenerate"
 
 
 def _validate_spin(actions: Sequence[int]) -> None:
@@ -356,22 +348,6 @@ def pure_nash(table: GameTable) -> NashSet:
         if stable:
             equilibria.append(NashEquilibrium(profile_actions(index, n), strict))
     return NashSet(tuple(equilibria))
-
-
-def classify_game(param: EffectiveGameParam) -> GameClass:
-    """Dominance class of the family member at the given coupling.
-
-    The label follows the payoff inequalities, not the sign of ``c``
-    directly: T > R together with P > S makes defection dominant (a
-    prisoner's dilemma), the reversed inequalities make cooperation
-    dominant (harmony), and exact equality is the degenerate boundary.
-    """
-    reward, punishment = param.REWARD, param.PUNISHMENT
-    if param.temptation > reward and punishment > param.sucker:
-        return GameClass.PRISONERS_DILEMMA
-    if reward > param.temptation and param.sucker > punishment:
-        return GameClass.HARMONY
-    return GameClass.DEGENERATE
 
 
 def triadic_utilities(

@@ -22,17 +22,18 @@ less predictable than its parts) and is reported, never clamped.
 ``K x K`` lag-pair table, where ``K`` is the (joint) alphabet size, so
 they use memory proportional to ``T + K`` plus one chunk of about 2**20
 table cells, never ``K * K``.  ``mutual_information`` takes a dense
-table's nonzero cells through the same MI function, and both results are
-bit-identical to the dense sums: cell probabilities are the same
-quotients, and each marginal adds the same floats in the same order.
-The present (row) marginal scatters a chunk of occupied rows at a time
-into a dense ``K``-wide buffer and sums it with ``sum(axis=1)``, as on
-the dense table.  The lagged (column) marginal is ``np.bincount`` over
-the cells' columns weighted by their probabilities, which adds each
-column's cells in row order, as the dense ``sum(axis=0)`` does.
-Marginals from exact integer counts would be closer to the truth but
-would change the last bit of many results, and with it the bytes of
-``measures.json``.  Counting requires ``K * K < 2**63``.
+table's nonzero cells through the same MI function.  Both are
+bit-identical to the dense sums of the reference estimator in
+``tests/info_reference.py``: cell probabilities are the same quotients,
+and each marginal adds the same floats in the same order.  The present
+(row) marginal scatters a chunk of occupied rows at a time into a dense
+``K``-wide buffer and sums it with ``sum(axis=1)``, as on the dense
+table.  The lagged (column) marginal is ``np.bincount`` over the cells'
+columns weighted by their probabilities, which adds each column's cells
+in row order, as the dense ``sum(axis=0)`` does.  Marginals from exact
+integer counts would be closer to the truth but would change the last
+bit of many results, and with it the bytes of ``measures.json``.
+Counting requires ``K * K < 2**63``.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ __all__ = [
     "MeasureReport",
     "build_lag_pairs",
     "mutual_information",
-    "entropy",
     "tdmi",
     "excess_tdmi",
 ]
@@ -248,13 +248,7 @@ def _occupied_cells(
         counts = table[cells]
     else:
         cells, counts = np.unique(codes, return_counts=True)
-    total = int(counts.sum())
-    if total == 0:
-        raise ValueError("counts must contain at least one observation")
-    probs = counts / total
-    mass = float(probs.sum())
-    if abs(mass - 1.0) > 1e-9:
-        raise ValueError(f"probabilities must sum to 1, got {mass!r}")
+    probs = counts / codes.size
     rows, cols = np.divmod(cells, k)
     return k, rows, cols, probs
 
@@ -311,13 +305,6 @@ def build_lag_pairs(
     return LagPairDistribution(table, tau, len(series) - tau)
 
 
-def entropy(probabilities: np.ndarray) -> float:
-    """Plug-in Shannon entropy of a distribution, in bits."""
-    probs = np.asarray(probabilities, dtype=np.float64)
-    nz = probs > 0.0
-    return float(-(probs[nz] * np.log2(probs[nz])).sum())
-
-
 def mutual_information(distribution: LagPairDistribution) -> float:
     """Plug-in mutual information of a lag-pair distribution, in bits.
 
@@ -334,8 +321,11 @@ def mutual_information(distribution: LagPairDistribution) -> float:
 def tdmi(series: SymbolSeries | JointSeries, tau: int) -> float:
     """Time-delayed mutual information ``I(X_t ; X_{t-tau})`` in bits.
 
-    Equal, bit for bit, to ``mutual_information(build_lag_pairs(series,
-    tau))``, without building the ``K x K`` table.
+    Pairs are formed for every ``t`` in ``[tau, T)``, so ``T - tau`` pairs
+    are counted; requires ``1 <= tau < T``.  Equal, bit for bit, to
+    ``mutual_information(build_lag_pairs(series, tau))`` and to the dense
+    reference in ``tests/info_reference.py``, without building the
+    ``K x K`` table.
     """
     return _mutual_information(*_occupied_cells(series, tau))
 

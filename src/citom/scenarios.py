@@ -28,13 +28,7 @@ from typing import Iterable
 import numpy as np
 
 from .agents import DeltaRuleLearner, MatchingPenniesPredictor, Orchestrator, equilibrium_action
-from .game_core import (
-    COOPERATE,
-    DEFECT,
-    EffectiveGameParam,
-    effective_game,
-    triadic_utilities,
-)
+from .game_core import COOPERATE, EffectiveGameParam, effective_game, triadic_utilities
 from .info_measures import JointSeries, MeasureReport, SymbolSeries, excess_tdmi
 
 __all__ = [
@@ -49,7 +43,7 @@ __all__ = [
 ]
 
 
-def _validated_taus(taus: Iterable[int], steps: int) -> tuple[int, ...]:
+def validated_taus(taus: Iterable[int], steps: int) -> tuple[int, ...]:
     result = tuple(int(tau) for tau in taus)
     if not result:
         raise ValueError("at least one lag is required")
@@ -80,7 +74,9 @@ class TriadicConfig:
             raise ValueError(f"steps must be >= 2, got {self.steps}")
         if self.delay < 0:
             raise ValueError(f"delay must be >= 0, got {self.delay}")
-        object.__setattr__(self, "taus", _validated_taus(self.taus, self.steps))
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        object.__setattr__(self, "taus", validated_taus(self.taus, self.steps))
 
 
 @dataclass(frozen=True)
@@ -100,8 +96,10 @@ class MatchingPenniesConfig:
         MatchingPenniesPredictor(self.algorithm_id, self.significance_level)
         if self.steps < 2:
             raise ValueError(f"steps must be >= 2, got {self.steps}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         DeltaRuleLearner(self.learning_rate, self.inverse_temperature)
-        object.__setattr__(self, "taus", _validated_taus(self.taus, self.steps))
+        object.__setattr__(self, "taus", validated_taus(self.taus, self.steps))
 
 
 def _spin_to_symbol(values: np.ndarray) -> SymbolSeries:
@@ -172,14 +170,6 @@ class MatchingPenniesLog:
 EpisodeLog = TriadicLog | MatchingPenniesLog
 
 
-def _worker_actions_for(coupling_value: float, tie_break: int) -> tuple[int, int]:
-    table = effective_game(EffectiveGameParam(coupling_value))
-    return (
-        equilibrium_action(table, 0, tie_break),
-        equilibrium_action(table, 1, tie_break),
-    )
-
-
 def run_triadic(config: TriadicConfig) -> TriadicLog:
     """Simulate the orchestrated triad.
 
@@ -215,7 +205,8 @@ def run_triadic(config: TriadicConfig) -> TriadicLog:
     # has coupling 0, the degenerate boundary, where they defect.
     for value in np.unique(coupling):
         mask = coupling == value
-        a2, a3 = _worker_actions_for(float(value), DEFECT)
+        table = effective_game(EffectiveGameParam(float(value)))
+        a2, a3 = equilibrium_action(table, 0), equilibrium_action(table, 1)
         x2[mask] = a2
         x3[mask] = a3
         step_u = triadic_utilities(float(value), a2, a3, config.revenue_share)
@@ -289,5 +280,5 @@ def measure_log(log: EpisodeLog, taus: Iterable[int] | None = None) -> tuple[Mea
     if taus is None:
         taus = log.config.taus
     joint = log.joint_series()
-    requested = _validated_taus(taus, len(log))
+    requested = validated_taus(taus, len(log))
     return tuple(excess_tdmi(joint, tau) for tau in requested)

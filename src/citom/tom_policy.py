@@ -10,9 +10,8 @@ message simulates exactly that to steer the partner.
 Anchored ("piKL") best responses trade reward against staying close to
 an anchor policy: ``pi(a) proportional to anchor(a) * exp(Q(a) / lam)``.
 The exponent uses the natural base, and every objective here measures KL
-divergence in nats; the standalone :func:`kl_divergence` reports in bits
-by default because that is the unit the measurement side of this package
-speaks.
+divergence in nats; :func:`kl_divergence` and :func:`tom_divergence`
+report in bits, the unit the measurement side of this package speaks.
 
 The unified objective stacks three terms: expected reward, an anchor
 penalty weighted by ``lambda_anchor``, and a divergence between a
@@ -301,9 +300,8 @@ def _kl_nats(p: np.ndarray, q: np.ndarray) -> float:
 def kl_divergence(
     p: np.ndarray | Sequence[float],
     q: np.ndarray | Sequence[float],
-    units: str = "bits",
 ) -> float:
-    """KL divergence ``D(p || q)`` in bits (default) or nats.
+    """KL divergence ``D(p || q)`` in bits.
 
     Mass of ``p`` outside the support of ``q`` makes the divergence
     infinite and raises instead of returning a float.
@@ -312,12 +310,7 @@ def kl_divergence(
     q = _as_distribution(q, "q")
     if p.size != q.size:
         raise ValueError(f"distributions differ in size: {p.size} vs {q.size}")
-    nats = _kl_nats(p, q)
-    if units == "nats":
-        return nats
-    if units == "bits":
-        return nats / log(2.0)
-    raise ValueError(f"units must be 'bits' or 'nats', got {units!r}")
+    return _kl_nats(p, q) / log(2.0)
 
 
 def tom_divergence(
@@ -325,9 +318,8 @@ def tom_divergence(
     modelled_policy: Policy,
     state: int,
     message: int,
-    units: str = "bits",
 ) -> float:
-    """Divergence of reward-driven play from the modelled partner.
+    """Divergence of reward-driven play from the modelled partner, in bits.
 
     ``rl_policy`` is state-conditioned (axes ``"sa"``) and the modelled
     partner policy message-resolved (axes ``"sma"``); the result is
@@ -342,7 +334,6 @@ def tom_divergence(
     return kl_divergence(
         rl_policy.distribution(state),
         modelled_policy.distribution(state, message),
-        units,
     )
 
 

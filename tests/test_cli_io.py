@@ -395,6 +395,8 @@ class TestCliFailureModes:
             ["simulate-triadic", "--mode", "a", "--steps", "1", "--out", str(tmp_path)],
             ["simulate-triadic", "--mode", "a", "--taus", "0", "--out", str(tmp_path)],
             ["simulate-mp", "--algo", "9", "--out", str(tmp_path)],
+            ["simulate-triadic", "--mode", "a", "--seed", "-1", "--out", str(tmp_path)],
+            ["simulate-mp", "--algo", "0", "--seed", "-1", "--out", str(tmp_path)],
             ["no-such-command"],
         ]
         for argv in cases:
@@ -410,6 +412,17 @@ class TestCliFailureModes:
         )
         assert code == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("tau", ["0", "-1"])
+    def test_measure_non_positive_lag_exits_two(
+        self, tmp_path: Path, capsys, tau: str
+    ) -> None:
+        path = write_series(tmp_path, "x\n0\n1\n0\n1\n0\n")
+        code = main(
+            ["measure", "--input", str(path), "--taus", tau, "--out", str(tmp_path / "o")]
+        )
+        assert code == 2
+        assert f"lags must be >= 1, got {tau}" in capsys.readouterr().err
 
     def test_missing_input_exits_one(self, tmp_path: Path, capsys) -> None:
         code = main(

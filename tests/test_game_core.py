@@ -16,10 +16,8 @@ from citom.game_core import (
     COOPERATE,
     DEFECT,
     EffectiveGameParam,
-    GameClass,
     GameTable,
     SignConvention,
-    classify_game,
     cofactors_2x2,
     cofactors_n,
     effective_game,
@@ -254,13 +252,6 @@ class TestPureNash:
             scaled = payoffs.copy()
             scaled[0] = 2.5 * scaled[0] - 7.0
             assert pure_nash(table) == pure_nash(GameTable(2, scaled))
-
-
-class TestClassifyGame:
-    def test_sides(self) -> None:
-        assert classify_game(EffectiveGameParam(0.3)) is GameClass.PRISONERS_DILEMMA
-        assert classify_game(EffectiveGameParam(-0.3)) is GameClass.HARMONY
-        assert classify_game(EffectiveGameParam(0.0)) is GameClass.DEGENERATE
 
 
 class TestTriadicUtilities:

@@ -23,7 +23,6 @@ from citom.info_measures import (
     MeasureReport,
     SymbolSeries,
     build_lag_pairs,
-    entropy,
     excess_tdmi,
     mutual_information,
     tdmi,
@@ -202,13 +201,12 @@ class TestTdmi:
         series = SymbolSeries(rng.integers(0, 2, size=100_000), 2)
         assert tdmi(series, 1) <= 0.001
 
-
-class TestEntropy:
-    def test_uniform_four_symbols(self) -> None:
-        assert entropy(np.full(4, 0.25)) == 2.0
-
-    def test_degenerate_zero(self) -> None:
-        assert entropy(np.array([1.0, 0.0])) == 0.0
+    def test_invalid_lag_errors(self) -> None:
+        series = _series([0, 1, 0], 2)
+        with pytest.raises(ValueError, match="tau must satisfy 1 <= tau < 3, got 0"):
+            tdmi(series, 0)
+        with pytest.raises(ValueError, match="tau must satisfy 1 <= tau < 3, got 3"):
+            tdmi(series, 3)
 
 
 class TestExcessTdmi:

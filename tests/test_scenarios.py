@@ -34,6 +34,8 @@ class TestConfigs:
             TriadicConfig(mode="a", steps=10, taus=(10,))
         with pytest.raises(ValueError):
             TriadicConfig(mode="a", taus=())
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            TriadicConfig(mode="a", seed=-1)
 
     def test_matching_pennies_validation(self) -> None:
         with pytest.raises(ValueError):
@@ -42,6 +44,8 @@ class TestConfigs:
             MatchingPenniesConfig(algorithm_id=0, steps=1)
         with pytest.raises(ValueError):
             MatchingPenniesConfig(algorithm_id=0, steps=10, taus=(12,))
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            MatchingPenniesConfig(algorithm_id=0, seed=-1)
 
     @pytest.mark.parametrize("alpha", [1.5, 0.0, -0.1, np.nan])
     def test_matching_pennies_bad_significance_level_rejected(self, alpha: float) -> None:
