@@ -7,7 +7,10 @@ patterns for bias, and algorithm 2 additionally tests choice-and-reward
 patterns.  Both tests are exact two-sided binomial tests against 0.5.  A
 test rejects by the critical tail of its count; algorithm 2 also takes the
 exact p-values of rejecting statistics, to exploit the smaller.  While the
-null is retained the predictor behaves exactly like algorithm 0.
+null is retained the predictor behaves exactly like algorithm 0.  The
+decision rule lives in ``response_from_counts``, which both the
+predictor's per-step method and the fused trial loop of
+``scenarios.run_matching_pennies`` call.
 
 The orchestrated triad couples a signal-following orchestrator to two
 myopic workers who always play the unique strict pure equilibrium of the
@@ -103,7 +106,7 @@ def _tail_state(t: int, n: int) -> tuple[int, int, float]:
 _critical: dict[float, list[int]] = {}  # by significance level
 
 
-def _critical_tails(alpha: float, trials: int) -> list[int]:
+def critical_tails(alpha: float, trials: int) -> list[int]:
     """The critical-tail list ``c`` of ``alpha``, grown in place to cover ``trials``.
 
     ``c[n]`` is the largest tail ``t`` with ``binomial_pvalue_half(t, n) < alpha``,
@@ -115,7 +118,9 @@ def _critical_tails(alpha: float, trials: int) -> list[int]:
     * ``S(t, n+1) = S(t, n) + S(t-1, n) <= 2 S(t, n)``, so ``c[n+1] >= c[n]``.
     * ``S(t+1, n+1) = S(t+1, n) + S(t, n) >= 2 S(t, n)``, so ``c[n+1] <= c[n] + 1``.
 
-    So each new ``n`` takes one p-value, one cached step from the last.
+    So each new ``n`` takes one p-value, one cached step from the last.  The
+    list is shared by every caller with the same ``alpha``; the trial loop in
+    ``scenarios`` grows it as the predictor does.
     """
     critical = _critical.setdefault(alpha, [-1])
     tail = critical[-1]
@@ -126,11 +131,36 @@ def _critical_tails(alpha: float, trials: int) -> list[int]:
     return critical
 
 
-# Opponent trials in one n-gram context.  The per-trial methods read this
-# global, not the class constant: CPython 3.11 does not specialise reading
-# a class attribute through an instance, which took about 35 ns more per
-# read in a micro-benchmark.
-_CONTEXT_LENGTH = 4
+def response_from_counts(
+    algorithm_id: int,
+    significance_level: float,
+    critical: list[int],
+    choice: list[int],
+    pair: list[int],
+) -> float:
+    """Algorithm 1 or 2's probability of action 1 from the counts in force.
+
+    ``choice`` and ``pair`` are the ``[action-1 count, total count]``
+    entries of the current choice and (choice, reward) contexts.
+    ``critical``, the critical-tail list of ``significance_level``, must
+    index the choice total, which bounds the pair total.  The rule is the
+    one ``MatchingPenniesPredictor`` documents; an empty count has tail
+    0 > ``c[0]`` = -1, so it never rejects.
+    """
+    ones, total = choice
+    response = 0.5
+    best = significance_level
+    tail = ones if 2 * ones < total else total - ones
+    if tail <= critical[total]:
+        if algorithm_id == 1:
+            return 1.0 - ones / total
+        best, response = binomial_pvalue_half(ones, total), 1.0 - ones / total
+    if algorithm_id == 2:
+        ones, total = pair
+        tail = ones if 2 * ones < total else total - ones
+        if tail <= critical[total] and binomial_pvalue_half(ones, total) < best:
+            response = 1.0 - ones / total
+    return response
 
 
 @dataclass
@@ -150,15 +180,19 @@ class MatchingPenniesPredictor:
       rejected one with the smaller p-value (ties fall back to the
       choice-only statistic).
 
-    Histories shorter than 5 trials always yield 50:50 (cold start).  A
-    statistic rejects by its count's critical tail (``_critical_tails``),
-    and a retained null gives 0.5 exactly, as algorithm 0 does.  The caller
-    draws action 1 when its uniform falls below ``response_probability()``.
+    Histories shorter than 5 trials always yield 50:50 (cold start).  After
+    it, algorithms 1 and 2 decide by ``response_from_counts``: a statistic
+    rejects by its count's critical tail (``critical_tails``), and a
+    retained null gives 0.5 exactly, as algorithm 0 does.  Per step, the
+    caller draws action 1 when its uniform falls below
+    ``response_probability()`` and then passes the resolved trial to
+    ``observe``; ``scenarios.run_matching_pennies`` runs the same steps
+    inline.
     """
 
     algorithm_id: int
     significance_level: float = 0.05
-    context_length: ClassVar[int] = _CONTEXT_LENGTH
+    context_length: ClassVar[int] = 4
 
     def __post_init__(self) -> None:
         if self.algorithm_id not in (0, 1, 2):
@@ -166,7 +200,7 @@ class MatchingPenniesPredictor:
         if not 0.0 < self.significance_level < 1.0:
             raise ValueError("significance_level must lie in (0, 1)")
         self._trials = 0
-        self._critical = _critical_tails(self.significance_level, 0)
+        self._critical = critical_tails(self.significance_level, 0)
         # Count tables indexed by rolling context codes: low bits hold the
         # most recent step.  Entries are [action-1 count, total count].
         self._choice_table = [[0, 0] for _ in range(1 << self.context_length)]
@@ -178,27 +212,18 @@ class MatchingPenniesPredictor:
 
     def response_probability(self) -> float:
         """Probability of playing action 1 at the current history."""
-        if self.algorithm_id == 0 or self._trials < _CONTEXT_LENGTH + 1:
+        if self.algorithm_id == 0 or self._trials < self.context_length + 1:
             return 0.5
-        critical = self._critical
-        ones, total = self._choice_table[self._choice_ctx]
-        # The pair context refines the choice context, so the list covers
-        # its count too.  An empty count has tail 0 > c[0] = -1.
-        if total >= len(critical):
-            self._critical = critical = _critical_tails(self.significance_level, total)
-        response = 0.5
-        best = self.significance_level
-        tail = ones if 2 * ones < total else total - ones
-        if tail <= critical[total]:
-            if self.algorithm_id == 1:
-                return 1.0 - ones / total
-            best, response = binomial_pvalue_half(ones, total), 1.0 - ones / total
-        if self.algorithm_id == 2:
-            ones, total = self._pair_table[self._pair_ctx]
-            tail = ones if 2 * ones < total else total - ones
-            if tail <= critical[total] and binomial_pvalue_half(ones, total) < best:
-                response = 1.0 - ones / total
-        return response
+        choice = self._choice_table[self._choice_ctx]
+        if choice[1] >= len(self._critical):
+            self._critical = critical_tails(self.significance_level, choice[1])
+        return response_from_counts(
+            self.algorithm_id,
+            self.significance_level,
+            self._critical,
+            choice,
+            self._pair_table[self._pair_ctx],
+        )
 
     def observe(self, opponent_choice: int, opponent_reward: int) -> None:
         """Record the opponent's resolved trial and update the n-gram tables.
@@ -208,7 +233,7 @@ class MatchingPenniesPredictor:
         """
         if opponent_choice not in (0, 1) or opponent_reward not in (0, 1):
             raise ValueError("choice and reward must be binary")
-        if self._trials >= _CONTEXT_LENGTH:
+        if self._trials >= self.context_length:
             entry = self._choice_table[self._choice_ctx]
             entry[0] += opponent_choice
             entry[1] += 1
@@ -231,7 +256,10 @@ class DeltaRuleLearner:
     ``v[a] += learning_rate * (reward - v[a])``; ``action_probability`` is
     the softmax over the values scaled by ``inverse_temperature``, and the
     caller draws the action from it.  Zero inverse temperature gives
-    uniform choice regardless of values.
+    uniform choice regardless of values.  With ``gap = inverse_temperature
+    * (v[1] - v[0])`` the probability is ``1 / (1 + exp(-gap))``; where
+    ``exp(-gap)`` overflows, ``1 + exp(gap)`` rounds to 1 and it is
+    ``exp(gap)``.
     """
 
     learning_rate: float = 0.2
@@ -251,7 +279,10 @@ class DeltaRuleLearner:
     def action_probability(self) -> float:
         """Probability of playing action 1 under the current values."""
         gap = self.inverse_temperature * (self.values[1] - self.values[0])
-        return 1.0 / (1.0 + exp(-gap))
+        try:
+            return 1.0 / (1.0 + exp(-gap))
+        except OverflowError:
+            return exp(gap)
 
     def update(self, action: int, reward: float) -> None:
         if action not in (0, 1):

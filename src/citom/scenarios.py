@@ -23,11 +23,19 @@ order, so identical configurations replay identical episodes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import exp
 from typing import Iterable
 
 import numpy as np
 
-from .agents import DeltaRuleLearner, MatchingPenniesPredictor, Orchestrator, equilibrium_action
+from .agents import (
+    DeltaRuleLearner,
+    MatchingPenniesPredictor,
+    Orchestrator,
+    critical_tails,
+    equilibrium_action,
+    response_from_counts,
+)
 from .game_core import COOPERATE, EffectiveGameParam, effective_game, triadic_utilities
 from .info_measures import JointSeries, MeasureReport, SymbolSeries, excess_tdmi
 
@@ -236,29 +244,74 @@ def run_matching_pennies(config: MatchingPenniesConfig) -> MatchingPenniesLog:
     learner commits its action, the learner earns 1 on a match and the
     computer earns the complement, then the predictor observes the
     learner's resolved trial and the learner applies its delta rule.
+
+    One fused loop plays both agents' per-step methods with their state
+    in locals.  The predictor decides by ``response_from_counts``, as its
+    ``response_probability`` does, and the learner's softmax and delta
+    rule are its methods' float expressions, so the episode is bit for
+    bit the one the methods would play.
     """
     rng = np.random.default_rng(config.seed)
-    predictor = MatchingPenniesPredictor(
-        config.algorithm_id, config.significance_level
-    )
-    learner = DeltaRuleLearner(config.learning_rate, config.inverse_temperature)
+    algorithm_id = config.algorithm_id
+    alpha = config.significance_level
+    learning_rate = config.learning_rate
+    beta = config.inverse_temperature
+    context = MatchingPenniesPredictor.context_length
+    # Count tables indexed by rolling context codes, low bits the most
+    # recent step; entries are [action-1 count, total count].  ``choice``
+    # and ``pair`` are the entries of the contexts in force.
+    choice_table = [[0, 0] for _ in range(1 << context)]
+    pair_table = [[0, 0] for _ in range(1 << (2 * context))]
+    choice_mask = len(choice_table) - 1
+    pair_mask = len(pair_table) - 1
+    choice_ctx = pair_ctx = 0
+    choice, pair = choice_table[0], pair_table[0]
+    # Trials the predictor has observed.  Algorithm 0 observes none: it
+    # plays 50:50 throughout and its output never reads the tables.
+    trials = 0
+    critical = critical_tails(alpha, 0)
+    value0 = value1 = DeltaRuleLearner.initial_value
     # Each agent draws one uniform per trial and plays 1 below its
     # probability of action 1, computer first: uniform 2t is the
-    # computer's and 2t+1 the learner's, all from one batched draw.  Lists
-    # take the actions, converted once after the loop.
-    draws = iter(rng.random(2 * config.steps).tolist())
-    monkey_choices: list[int] = []
-    computer_choices: list[int] = []
-    for computer_draw, monkey_draw in zip(draws, draws):
-        c = 1 if computer_draw < predictor.response_probability() else 0
-        m = 1 if monkey_draw < learner.action_probability() else 0
+    # computer's and 2t+1 the learner's, all from one batched draw.  Byte
+    # arrays take the actions, converted once after the loop.
+    steps = config.steps
+    draws = iter(rng.random(2 * steps).tolist())
+    monkey_choices = bytearray(steps)
+    computer_choices = bytearray(steps)
+    for t, computer_draw, monkey_draw in zip(range(steps), draws, draws):
+        response = 0.5
+        if trials > context:
+            if choice[1] >= len(critical):
+                critical = critical_tails(alpha, choice[1])
+            response = response_from_counts(algorithm_id, alpha, critical, choice, pair)
+        c = 1 if computer_draw < response else 0
+        gap = beta * (value1 - value0)
+        try:
+            m = 1 if monkey_draw < 1.0 / (1.0 + exp(-gap)) else 0
+        except OverflowError:
+            m = 1 if monkey_draw < exp(gap) else 0
         reward = 1 if m == c else 0
-        predictor.observe(m, reward)
-        learner.update(m, float(reward))
-        monkey_choices.append(m)
-        computer_choices.append(c)
-    monkey = np.array(monkey_choices, dtype=np.int64)
-    computer = np.array(computer_choices, dtype=np.int64)
+        if algorithm_id:
+            # Counts are credited once a full context of prior trials exists.
+            if trials >= context:
+                choice[0] += m
+                choice[1] += 1
+                pair[0] += m
+                pair[1] += 1
+            choice_ctx = ((choice_ctx << 1) | m) & choice_mask
+            pair_ctx = ((pair_ctx << 2) | (m << 1) | reward) & pair_mask
+            choice = choice_table[choice_ctx]
+            pair = pair_table[pair_ctx]
+            trials += 1
+        if m:
+            value1 += learning_rate * (reward - value1)
+        else:
+            value0 += learning_rate * (reward - value0)
+        monkey_choices[t] = m
+        computer_choices[t] = c
+    monkey = np.frombuffer(monkey_choices, dtype=np.uint8).astype(np.int64)
+    computer = np.frombuffer(computer_choices, dtype=np.uint8).astype(np.int64)
     monkey_reward = (monkey == computer).astype(np.int64)
     computer_reward = 1 - monkey_reward
     for array in (monkey, computer, monkey_reward, computer_reward):

@@ -231,6 +231,17 @@ class TestDeltaRuleLearner:
         rng = np.random.default_rng(0)
         assert all(rng.random() < learner.action_probability() for _ in range(100))
 
+    @pytest.mark.parametrize("beta", [710.0, 1000.0, 1e6])
+    def test_overflowing_gap_takes_the_limit(self, beta: float) -> None:
+        # exp(-gap) overflows past gap = -709.78; the probability is then
+        # exp(gap), subnormal at 710 and 0 past 745.
+        learner = DeltaRuleLearner(learning_rate=1.0, inverse_temperature=beta)
+        learner.update(0, 1.0)
+        learner.update(1, 0.0)
+        assert learner.action_probability() == exp(-beta)
+        learner.update(0, -1.0)
+        assert learner.action_probability() == 1.0
+
     def test_validation(self) -> None:
         with pytest.raises(ValueError):
             DeltaRuleLearner(learning_rate=0.0)

@@ -8,7 +8,8 @@ uniform.  The production p-value must equal the exact one bit for bit
 ``< 0.05`` decision as ``bdtr``, the critical-tail lists must equal a
 brute-force search over that p-value, the predictor must decide as the
 candidate list does, and ``run_matching_pennies`` must give the
-reference's episodes byte for byte.
+reference's episodes byte for byte, at drawn significance levels,
+learning rates and inverse temperatures.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import bdtr
 
@@ -45,9 +46,43 @@ class TestEpisodes:
         seed=st.integers(0, 2**32 - 1),
         algorithm_id=st.sampled_from([0, 1, 2]),
         steps=st.integers(2, 3000),
+        alpha=st.one_of(st.sampled_from([0.05, 0.01, 0.2]), st.floats(1e-6, 0.99)),
+        learning_rate=st.one_of(
+            st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)
+        ),
+        # Past about 710 / |v1 - v0| the learner's exp(-gap) overflows.
+        inverse_temperature=st.one_of(
+            st.sampled_from([0.0, 3.0, 1e6]), st.floats(0.0, 1e4)
+        ),
     )
-    def test_match_reference(self, seed: int, algorithm_id: int, steps: int) -> None:
-        config = MatchingPenniesConfig(algorithm_id, steps=steps, seed=seed, taus=(1,))
+    @example(seed=0, algorithm_id=1, steps=2000, alpha=0.05, learning_rate=0.2,
+             inverse_temperature=1e6)
+    @example(seed=1, algorithm_id=2, steps=3000, alpha=0.05, learning_rate=1.0,
+             inverse_temperature=0.0)
+    @example(seed=2, algorithm_id=2, steps=3000, alpha=0.2, learning_rate=1.0,
+             inverse_temperature=2000.0)
+    # At trial 801 the choice count 3 of 23 and the pair count 0 of 12
+    # both have p-value 2**-11, which bdtr rounds apart.
+    @example(seed=2981443321, algorithm_id=2, steps=2379, alpha=0.05,
+             learning_rate=1.0, inverse_temperature=3.0)
+    def test_match_reference(
+        self,
+        seed: int,
+        algorithm_id: int,
+        steps: int,
+        alpha: float,
+        learning_rate: float,
+        inverse_temperature: float,
+    ) -> None:
+        config = MatchingPenniesConfig(
+            algorithm_id,
+            steps=steps,
+            seed=seed,
+            taus=(1,),
+            significance_level=alpha,
+            learning_rate=learning_rate,
+            inverse_temperature=inverse_temperature,
+        )
         assert_same_episode(config)
 
     @pytest.mark.parametrize(
@@ -169,7 +204,7 @@ class TestExactPvalue:
 
     def test_rejection_agrees_with_bdtr(self) -> None:
         agents._tail_states.clear()
-        critical = agents._critical_tails(0.05, 2000)
+        critical = agents.critical_tails(0.05, 2000)
         for trials in range(0, 2001):
             successes = np.arange(trials + 1)
             tails = np.minimum(successes, trials - successes)
@@ -189,14 +224,14 @@ class TestCriticalTails:
         # Growth order must not matter: one list is grown to the end at
         # once, two are grown in turns one trial at a time, and the rest
         # in uneven strides.
-        lists = {alphas[0]: agents._critical_tails(alphas[0], last)}
+        lists = {alphas[0]: agents.critical_tails(alphas[0], last)}
         for trials in range(last + 1):
             for alpha in alphas[1:3]:
-                lists[alpha] = agents._critical_tails(alpha, trials)
+                lists[alpha] = agents.critical_tails(alpha, trials)
         for alpha in alphas[3:]:
             for trials in range(0, last, 37):
-                agents._critical_tails(alpha, trials)
-            lists[alpha] = agents._critical_tails(alpha, last)
+                agents.critical_tails(alpha, trials)
+            lists[alpha] = agents.critical_tails(alpha, last)
         for trials in range(last + 1):
             # Row by row, every state is one cached step from the last row.
             pvalues = [binomial_pvalue_half(t, trials) for t in range(trials // 2 + 1)]
