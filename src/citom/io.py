@@ -21,7 +21,8 @@ arithmetic for plain digit rows or a line-by-line pass for anything else
 All writers go through an atomic write-then-rename so a crashed run
 never leaves a truncated artifact, and floats are rendered with six
 decimal places so identical runs produce identical bytes.  CSV rows are
-rendered and parsed ``BLOCK_ROWS`` at a time.
+rendered and parsed ``BLOCK_ROWS`` at a time; the writer joins NUL-padded
+byte matrices of the cells and drops the NULs (see :func:`_column_cells`).
 """
 
 from __future__ import annotations
@@ -86,11 +87,15 @@ def format_float(value: float) -> str:
 
 def atomic_write_text(path: Path, content: str) -> None:
     """Write via a temporary sibling and rename, so readers never see
-    partial content."""
+    partial content; if either step fails, the sibling is removed."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(content, encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(content, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _parse_alphabet_comment(line: str, line_no: int) -> tuple[int, ...] | None:
@@ -271,27 +276,31 @@ def parse_series_csv(path: Path | str) -> SeriesFile:
     return SeriesFile(names, JointSeries(tuple(components)))
 
 
-def _column_cells(column: np.ndarray) -> list[str]:
-    """CSV cells of one column: ``str`` of each integer, ``format_float``
-    of each float, computed once per distinct bit pattern."""
-    if column.dtype.kind != "f":
-        return list(map(str, column.tolist()))
-    distinct, codes = np.unique(
-        column.astype(np.float64).view(np.uint64), return_inverse=True
-    )
-    texts = [format_float(value) for value in distinct.view(np.float64).tolist()]
-    return np.array(texts, dtype=object)[codes].tolist()
+def _column_cells(column: np.ndarray) -> np.ndarray:
+    """A block of a column as a ``(rows, width)`` uint8 matrix of NUL-padded
+    cells: ``str`` of integers, ``format_float`` of floats, each distinct
+    value (bit pattern for floats) rendered once.  No cell text holds a NUL
+    byte, so dropping a row's NULs leaves exactly its cells."""
+    floats = column.dtype.kind == "f"
+    keys = column.astype(np.float64).view(np.uint64) if floats else column
+    distinct, codes = np.unique(keys, return_inverse=True)
+    values = distinct.view(np.float64) if floats else distinct
+    texts = map(format_float if floats else str, values.tolist())
+    table = np.array(list(texts), dtype=np.bytes_)
+    return table[codes].view(np.uint8).reshape(len(column), table.itemsize)
 
 
 def columns_csv_text(header: Sequence[str], columns: Sequence[np.ndarray]) -> str:
     """A header line, then one CSV row per index of the equal-length
     ``columns``; each column's cell format follows its dtype."""
-    chunks = [",".join(header) + "\n"]
+    text = bytearray((",".join(header) + "\n").encode("utf-8"))
     for start in range(0, len(columns[0]), BLOCK_ROWS):
-        block = [column[start : start + BLOCK_ROWS] for column in columns]
-        cells = [_column_cells(column) for column in block]
-        chunks.append("\n".join(map(",".join, zip(*cells))) + "\n")
-    return "".join(chunks)
+        cells = [_column_cells(c[start : start + BLOCK_ROWS]) for c in columns]
+        comma = np.full((len(cells[0]), 1), ord(","), dtype=np.uint8)
+        rows = np.hstack([part for block in cells for part in (block, comma)])
+        rows[:, -1] = ord("\n")
+        text += rows[rows != 0].tobytes()
+    return text.decode("utf-8")
 
 
 def series_csv_text(series_file: SeriesFile) -> str:

@@ -61,6 +61,21 @@ class TestAtomicWrite:
         assert target.read_text() == "replaced\n"
         assert list(tmp_path.iterdir()) == [target]
 
+    def test_failed_rename_leaves_target_and_no_temporary(
+        self, tmp_path: Path, monkeypatch: pytest.MonkeyPatch
+    ) -> None:
+        target = tmp_path / "out.txt"
+        target.write_text("kept\n")
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            atomic_write_text(target, "lost\n")
+        assert target.read_text() == "kept\n"
+        assert list(tmp_path.iterdir()) == [target]
+
 
 def write_series(tmp_path: Path, text: str) -> Path:
     path = tmp_path / "series.csv"

@@ -50,7 +50,7 @@ FLOATS = st.one_of(
     st.floats(),
 )
 
-INT_DTYPES = (np.int64, np.int32, np.uint8)
+INT_DTYPES = (np.int64, np.int32, np.int8, np.uint8, np.uint64)
 
 
 @st.composite
@@ -93,6 +93,29 @@ class TestWriterMatchesReference:
         ]
         header = ["step", "special", "small", "int"]
         assert columns_csv_text(header, cols) == reference.columns_csv_text(header, cols)
+
+    def test_floats_rendered_once_per_distinct_value_per_block(
+        self, monkeypatch: pytest.MonkeyPatch
+    ) -> None:
+        log = run_triadic(TriadicConfig(mode="b", steps=2 * BLOCK_ROWS + 3, seed=3))
+        calls: list[float] = []
+        format_float = citom_io.format_float
+
+        def counting(value: float) -> str:
+            calls.append(value)
+            return format_float(value)
+
+        monkeypatch.setattr(citom_io, "format_float", counting)
+        text = triadic_episode_csv_text(log)
+        monkeypatch.undo()
+        assert text == reference.triadic_episode_csv_text(log)
+        expected = 0
+        for name in ("x1", "coupling", "u1", "u2", "u3"):
+            values = getattr(log, name).view(np.uint64)
+            for start in range(0, len(log), BLOCK_ROWS):
+                expected += len(np.unique(values[start : start + BLOCK_ROWS]))
+        assert len(calls) == expected
+        assert expected < len(log)
 
     @settings(max_examples=6, deadline=None)
     @given(

@@ -239,6 +239,20 @@ class TestCriticalTails:
                 expected = max((t for t, p in enumerate(pvalues) if p < alpha), default=-1)
                 assert lists[alpha][trials] == expected, (alpha, trials)
 
+    def test_levels_bounded_and_exact_after_wide_sweep(self) -> None:
+        agents._critical.clear()
+        alphas = np.linspace(1e-4, 0.5, 200)
+        for alpha in alphas:
+            agents.critical_tails(float(alpha), 60)
+        assert 0 < len(agents._critical) <= agents._CRITICAL_LEVELS
+        kept = [float(alpha) for alpha in alphas[-len(agents._critical) :]]
+        assert list(agents._critical) == kept
+        for alpha, critical in agents._critical.items():
+            for trials, tail in enumerate(critical):
+                pvalues = [binomial_pvalue_half(t, trials) for t in range(trials // 2 + 1)]
+                expected = max((t for t, p in enumerate(pvalues) if p < alpha), default=-1)
+                assert tail == expected, (alpha, trials)
+
 
 class TestTailCache:
     def test_bounded_after_long_walk(self) -> None:
