@@ -5,17 +5,19 @@ computer opponent that escalates through three algorithms: algorithm 0
 plays uniformly at random, algorithm 1 tests the learner's recent choice
 patterns for bias, and algorithm 2 additionally tests choice-and-reward
 patterns.  Both tests are exact two-sided binomial tests against 0.5.  A
-test rejects by the critical tail of its count; algorithm 2 also takes the
-exact p-values of rejecting statistics, to exploit the smaller.  While the
-null is retained the predictor behaves exactly like algorithm 0.  The
-decision rule lives in ``response_from_counts``, which both the
+test rejects by the critical tail of its count.  Only when both of
+algorithm 2's statistics reject does it take their exact p-values, to
+exploit the smaller; each count walks its own tail state to its p-value.
+While the null is retained the predictor behaves exactly like algorithm
+0.  The decision rule lives in ``response_from_counts``, which both the
 predictor's per-step method and the fused trial loop of
 ``scenarios.run_matching_pennies`` call.
 
-Long algorithm-2 sessions cost more than linear time, as each exact
-p-value steps integers of up to ``n`` bits: on one Xeon core, 50k / 100k /
-200k trials took 0.34 / 1.03 / 3.45 s against 0.12 / 0.17 / 0.37 s for
-algorithm 1 (the 200k session also built about 900 tail sums from scratch).
+Long algorithm-2 sessions cost more than linear time: both statistics
+reject on over half the trials (108,838 of 200k at seed 0), and each
+walk steps integers of up to ``n`` bits.  On one Xeon core, 50k / 100k /
+200k trials took 0.25 / 0.70 / 2.25 s against 0.16 / 0.28 / 0.62 s for
+algorithm 1.
 
 The orchestrated triad couples a signal-following orchestrator to two
 myopic workers who always play the unique strict pure equilibrium of the
@@ -48,10 +50,38 @@ __all__ = [
 ]
 
 
-# Tail states by ``(tail, trials)``: ``(S, C(trials, tail), p-value)`` with
-# ``S`` the exact sum of ``C(trials, i)`` over ``i <= tail``.
+# Tail states and p-values by ``(tail, trials)``; see ``walk_pvalue``.
 _TAIL_CACHE_SIZE = 4096
-_tail_states: OrderedDict[tuple[int, int], tuple[int, int, float]] = OrderedDict()
+_tail_states: OrderedDict[tuple[int, int], tuple[list[int], float]] = OrderedDict()
+
+
+def walk_pvalue(state: list[int], tail: int, trials: int) -> float:
+    """Move ``state`` in place to ``(tail, trials)`` and return its p-value.
+
+    ``state`` is ``[t, n, S(t, n), C(n, t)]`` with ``S(t, n)`` the exact sum
+    of ``C(n, i)`` over ``i <= t``; ``[0, n, 1, 1]`` is a valid start, and
+    ``trials`` must not be below ``n``.  The walk first raises ``n`` with
+    ``S(t, n+1) = S(t, n) + S(t-1, n) = 2 S(t, n) - C(n, t)``, then moves
+    ``t`` by ``C(n, t+1)`` or ``C(n, t)``.  A balanced count (``n = 0``
+    included) has p-value 1.  Otherwise the doubled tail ``S / 2**(n-1)``
+    is at most 1 (exactly 1 at ``t = (n-1)/2``), and int / int rounds it
+    correctly.
+    """
+    t, n, total, coefficient = state
+    while n < trials:
+        total = 2 * total - coefficient
+        n += 1
+        coefficient = coefficient * n // (n - t)
+    while t < tail:
+        coefficient = coefficient * (n - t) // (t + 1)
+        t += 1
+        total += coefficient
+    while t > tail:
+        total -= coefficient
+        coefficient = coefficient * t // (n - t + 1)
+        t -= 1
+    state[:] = t, n, total, coefficient
+    return 1.0 if 2 * t == n else total / (1 << (n - 1))
 
 
 def binomial_pvalue_half(successes: int, trials: int) -> float:
@@ -63,49 +93,27 @@ def binomial_pvalue_half(successes: int, trials: int) -> float:
     The sum is kept as an exact integer and the result is that rational
     correctly rounded to a float; a perfectly balanced count has p-value 1.
 
-    Integer states are cached per ``(t, n)`` in a least-recently-used
-    cache of ``_TAIL_CACHE_SIZE`` entries (a hit refreshes the entry).  A
-    miss whose ``(t, n - 1)`` or ``(t - 1, n - 1)`` state is cached takes
-    one step from it, which is the common case for a count that grows by
-    one trial at a time; otherwise the sum is built from scratch.
+    Tail states and p-values are cached per ``(t, n)`` in a
+    least-recently-used cache of ``_TAIL_CACHE_SIZE`` entries (a hit
+    refreshes the entry).  A miss walks (``walk_pvalue``) a copy of the
+    cached ``(t, n - 1)`` or ``(t - 1, n - 1)`` state, one step away for a
+    count that grows by one trial at a time, or else ``[0, n, 1, 1]``.
+    The trial loop does not come here: each of its counts walks its own
+    state.
     """
     if not 0 <= successes <= trials:
         raise ValueError(f"need 0 <= successes <= trials, got {successes}/{trials}")
-    failures = trials - successes
-    key = (successes if successes < failures else failures, trials)
+    key = t, n = int(min(successes, trials - successes)), int(trials)
     # Taking the entry out and putting it back makes it the most recent.
-    state = _tail_states.pop(key, None)
-    if state is None:
-        state = _tail_state(int(key[0]), int(trials))
+    entry = _tail_states.pop(key, None)
+    if entry is None:
+        nearest = _tail_states.get((t, n - 1)) or _tail_states.get((t - 1, n - 1))
+        state = nearest[0].copy() if nearest else [0, n, 1, 1]
+        entry = state, walk_pvalue(state, t, n)
         if len(_tail_states) >= _TAIL_CACHE_SIZE:
             _tail_states.popitem(last=False)
-    _tail_states[key] = state
-    return state[2]
-
-
-def _tail_state(t: int, n: int) -> tuple[int, int, float]:
-    """``(S, C(n, t), p-value)`` of tail ``t`` at ``n`` trials, ``2t <= n``."""
-    previous = _tail_states.get((t, n - 1))
-    if previous is not None:
-        # S(t, n) = S(t, n-1) + S(t-1, n-1) = 2 S(t, n-1) - C(n-1, t).
-        below, coefficient, _ = previous
-        total = 2 * below - coefficient
-        coefficient = coefficient * n // (n - t)
-    elif t and (previous := _tail_states.get((t - 1, n - 1))) is not None:
-        # S(t, n) = 2 S(t-1, n-1) + C(n-1, t).
-        below, coefficient, _ = previous
-        total = 2 * below + coefficient * (n - t) // t
-        coefficient = coefficient * n // t
-    else:
-        total = coefficient = 1
-        for i in range(1, t + 1):
-            coefficient = coefficient * (n - i + 1) // i
-            total += coefficient
-    # Balanced counts (n = 0 included) have p-value 1.  Otherwise the
-    # doubled tail is at most 1 (exactly 1 at t = (n-1)/2), and int / int
-    # rounds correctly.
-    pvalue = 1.0 if 2 * t == n else total / (1 << (n - 1))
-    return total, coefficient, pvalue
+    _tail_states[key] = entry
+    return entry[1]
 
 
 _CRITICAL_LEVELS = 8  # critical-tail lists kept, the most recently used last
@@ -139,36 +147,38 @@ def critical_tails(alpha: float, trials: int) -> list[int]:
     return critical
 
 
+def new_count_table(context_bits: int) -> list[list]:
+    """Fresh ``[action-1 count, total count, tail state]`` entries, one per context code."""
+    return [[0, 0, [0, 0, 1, 1]] for _ in range(1 << context_bits)]
+
+
 def response_from_counts(
-    algorithm_id: int,
-    significance_level: float,
-    critical: list[int],
-    choice: list[int],
-    pair: list[int],
+    algorithm_id: int, critical: list[int], choice: list, pair: list
 ) -> float:
     """Algorithm 1 or 2's probability of action 1 from the counts in force.
 
-    ``choice`` and ``pair`` are the ``[action-1 count, total count]``
-    entries of the current choice and (choice, reward) contexts.
-    ``critical``, the critical-tail list of ``significance_level``, must
+    ``choice`` and ``pair`` are the ``[action-1 count, total count, tail
+    state]`` entries of the current choice and (choice, reward) contexts.
+    ``critical``, the critical-tail list of the significance level, must
     index the choice total, which bounds the pair total.  The rule is the
-    one ``MatchingPenniesPredictor`` documents; an empty count has tail
-    0 > ``c[0]`` = -1, so it never rejects.
+    one ``MatchingPenniesPredictor`` documents.  A count rejects iff its
+    tail is at most its critical tail, that is iff its p-value is below
+    the level, so exact p-values are walked (``walk_pvalue``, on each
+    entry's own tail state) only when both statistics reject, to compare
+    them.  An empty count has tail 0 > ``c[0]`` = -1, so it never rejects.
     """
-    ones, total = choice
-    response = 0.5
-    best = significance_level
+    ones, total, state = choice
     tail = ones if 2 * ones < total else total - ones
-    if tail <= critical[total]:
-        if algorithm_id == 1:
-            return 1.0 - ones / total
-        best, response = binomial_pvalue_half(ones, total), 1.0 - ones / total
+    choice_rejects = tail <= critical[total]
     if algorithm_id == 2:
-        ones, total = pair
-        tail = ones if 2 * ones < total else total - ones
-        if tail <= critical[total] and binomial_pvalue_half(ones, total) < best:
-            response = 1.0 - ones / total
-    return response
+        pair_ones, pair_total, pair_state = pair
+        pair_tail = pair_ones if 2 * pair_ones < pair_total else pair_total - pair_ones
+        if pair_tail <= critical[pair_total] and (
+            not choice_rejects
+            or walk_pvalue(pair_state, pair_tail, pair_total) < walk_pvalue(state, tail, total)
+        ):
+            return 1.0 - pair_ones / pair_total
+    return 1.0 - ones / total if choice_rejects else 0.5
 
 
 @dataclass
@@ -210,9 +220,10 @@ class MatchingPenniesPredictor:
         self._trials = 0
         self._critical = critical_tails(self.significance_level, 0)
         # Count tables indexed by rolling context codes: low bits hold the
-        # most recent step.  Entries are [action-1 count, total count].
-        self._choice_table = [[0, 0] for _ in range(1 << self.context_length)]
-        self._pair_table = [[0, 0] for _ in range(1 << (2 * self.context_length))]
+        # most recent step.  Entries are [action-1 count, total count, tail
+        # state], the state as ``walk_pvalue`` takes it.
+        self._choice_table = new_count_table(self.context_length)
+        self._pair_table = new_count_table(2 * self.context_length)
         self._choice_ctx = 0
         self._pair_ctx = 0
         self._choice_mask = (1 << self.context_length) - 1
@@ -226,11 +237,7 @@ class MatchingPenniesPredictor:
         if choice[1] >= len(self._critical):
             self._critical = critical_tails(self.significance_level, choice[1])
         return response_from_counts(
-            self.algorithm_id,
-            self.significance_level,
-            self._critical,
-            choice,
-            self._pair_table[self._pair_ctx],
+            self.algorithm_id, self._critical, choice, self._pair_table[self._pair_ctx]
         )
 
     def observe(self, opponent_choice: int, opponent_reward: int) -> None:

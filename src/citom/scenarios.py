@@ -34,6 +34,7 @@ from .agents import (
     Orchestrator,
     critical_tails,
     equilibrium_action,
+    new_count_table,
     response_from_counts,
 )
 from .game_core import COOPERATE, EffectiveGameParam, effective_game, triadic_utilities
@@ -203,22 +204,21 @@ def run_triadic(config: TriadicConfig) -> TriadicLog:
         warmup = min(config.delay, steps)
         coupling = np.concatenate((np.full(warmup, config.amplitude), x1[: steps - warmup]))
 
-    x2 = np.empty(steps, dtype=np.int64)
-    x3 = np.empty(steps, dtype=np.int64)
-    u1 = np.empty(steps)
-    u2 = np.empty(steps)
-    u3 = np.empty(steps)
     # The coupling takes few distinct values, so resolve the workers'
-    # equilibrium response and the utilities once per value.  Mode "a"
-    # has coupling 0, the degenerate boundary, where they defect.
-    for value in np.unique(coupling):
-        mask = coupling == value
-        table = effective_game(EffectiveGameParam(float(value)))
+    # equilibrium response and the utilities once per value and gather
+    # them by value code.  Mode "a" has coupling 0, the degenerate
+    # boundary, where they defect.  (``return_inverse`` also keeps
+    # ``np.unique`` from importing ``numpy.ma``.)
+    values, codes = np.unique(coupling, return_inverse=True)
+    actions = np.empty((2, values.size), dtype=np.int64)
+    utilities = np.empty((3, values.size))
+    for index, value in enumerate(values.tolist()):
+        table = effective_game(EffectiveGameParam(value))
         a2, a3 = equilibrium_action(table, 0), equilibrium_action(table, 1)
-        x2[mask] = a2
-        x3[mask] = a3
-        step_u = triadic_utilities(float(value), a2, a3, config.revenue_share)
-        u1[mask], u2[mask], u3[mask] = step_u
+        actions[:, index] = a2, a3
+        utilities[:, index] = triadic_utilities(value, a2, a3, config.revenue_share)
+    x2, x3 = actions.take(codes, axis=1)
+    u1, u2, u3 = utilities.take(codes, axis=1)
     value_flag = ((x2 == COOPERATE) & (x3 == COOPERATE)).astype(np.int64)
 
     for array in (signal, x1, coupling, x2, x3, u1, u2, u3, value_flag):
@@ -258,10 +258,10 @@ def run_matching_pennies(config: MatchingPenniesConfig) -> MatchingPenniesLog:
     beta = config.inverse_temperature
     context = MatchingPenniesPredictor.context_length
     # Count tables indexed by rolling context codes, low bits the most
-    # recent step; entries are [action-1 count, total count].  ``choice``
-    # and ``pair`` are the entries of the contexts in force.
-    choice_table = [[0, 0] for _ in range(1 << context)]
-    pair_table = [[0, 0] for _ in range(1 << (2 * context))]
+    # recent step; entries are [action-1 count, total count, tail state].
+    # ``choice`` and ``pair`` are the entries of the contexts in force.
+    choice_table = new_count_table(context)
+    pair_table = new_count_table(2 * context)
     choice_mask = len(choice_table) - 1
     pair_mask = len(pair_table) - 1
     choice_ctx = pair_ctx = 0
@@ -284,7 +284,7 @@ def run_matching_pennies(config: MatchingPenniesConfig) -> MatchingPenniesLog:
         if trials > context:
             if choice[1] >= len(critical):
                 critical = critical_tails(alpha, choice[1])
-            response = response_from_counts(algorithm_id, alpha, critical, choice, pair)
+            response = response_from_counts(algorithm_id, critical, choice, pair)
         c = 1 if computer_draw < response else 0
         gap = beta * (value1 - value0)
         try:

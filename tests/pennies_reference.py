@@ -91,9 +91,10 @@ class ReferencePredictor:
                 counts[context] = (ones + choice, total + 1)
         self.history.append((choice, reward))
 
-    def response_probability(self) -> float:
+    def rejected(self) -> list[tuple[float, int, int, int]]:
+        """``(p-value, index, ones, total)`` of each statistic that rejects now."""
         if self.algorithm_id == 0 or len(self.history) < self.context_length + 1:
-            return 0.5
+            return []
         choice_context, pair_context = self.contexts()
         counts = [self.choice_counts.get(choice_context, (0, 0))]
         if self.algorithm_id == 2:
@@ -112,7 +113,10 @@ class ReferencePredictor:
                 (exact_pvalue(ones, total), index, ones, total)
                 for _, index, ones, total in candidates
             ]
-        rejected = [c for c in candidates if c[0] < alpha]
+        return [c for c in candidates if c[0] < alpha]
+
+    def response_probability(self) -> float:
+        rejected = self.rejected()
         if not rejected:
             return 0.5
         _, _, ones, total = min(rejected, key=lambda c: (c[0], c[1]))

@@ -354,18 +354,25 @@ class TestResourceBounds:
                 tracemalloc.stop()
             assert peak < 40 * 2**20, newline
 
-    def test_measuring_loads_no_numpy_ma(self) -> None:
+    def test_measuring_loads_no_numpy_ma(self, tmp_path: Path) -> None:
+        # Importing numpy.ma costs a CLI process 13-16 ms; neither arena's
+        # simulation nor its measures or artifacts should need it.
         src = str(Path(info_measures.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])
         ))
         code = (
             "import sys\n"
+            "from citom.cli import main\n"
             "from citom.scenarios import MatchingPenniesConfig, measure_log, run_matching_pennies\n"
             "measure_log(run_matching_pennies(MatchingPenniesConfig(2, steps=2000)))\n"
+            "for mode in 'ab':\n"
+            "    main(['simulate-triadic', '--mode', mode, '--steps', '2000',\n"
+            f"          '--out', {str(tmp_path)!r} + '/' + mode])\n"
             "print('numpy.ma' in sys.modules)\n"
         )
         result = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
-        assert result.stdout.strip() == "False"
+        assert result.stdout.splitlines()[-1] == "False"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["a", "b"]

@@ -4,9 +4,11 @@
 ``Fraction`` p-value, the predictor that decides from a candidate list
 of p-values and the per-trial loop in which each agent draws its own
 uniform.  The production p-value must equal the exact one bit for bit
-(whichever way its tail cache reached the state), must make the same
-``< 0.05`` decision as ``bdtr``, the critical-tail lists must equal a
-brute-force search over that p-value, the predictor must decide as the
+(whichever way its tail cache reached the state) and make the same
+``< 0.05`` decision as ``bdtr``, and so must every p-value of a tail state
+walked through any sequence of counts.  Algorithm 2 must walk p-values
+only on trials where both statistics reject, the critical-tail lists must
+equal a brute-force search over that p-value, the predictor must decide as the
 candidate list does, and ``run_matching_pennies`` must give the
 reference's episodes byte for byte, at drawn significance levels,
 learning rates and inverse temperatures.
@@ -117,8 +119,9 @@ class TestDecisionRule:
                 assert predictor.response_probability() == expected.response_probability()
                 predictor.observe(choice, reward)
                 expected.observe(choice, reward)
-            assert predictor._choice_table[predictor._choice_ctx] == [1, 15]
-            assert predictor._pair_table[predictor._pair_ctx] == [0, 11]
+            # Entries also carry a tail state; compare the count fields.
+            assert predictor._choice_table[predictor._choice_ctx][:2] == [1, 15]
+            assert predictor._pair_table[predictor._pair_ctx][:2] == [0, 11]
             assert binomial_pvalue_half(1, 15) == binomial_pvalue_half(0, 11) == 2**-10
             # The tie goes to the choice statistic; at alpha = 2**-10
             # neither statistic rejects.
@@ -213,6 +216,70 @@ class TestExactPvalue:
             actual = [binomial_pvalue_half(k, trials) < 0.05 for k in range(trials + 1)]
             assert actual == expected.tolist(), trials
             assert critical[trials] == tails[expected].max(initial=-1), trials
+
+
+@st.composite
+def count_walks(draw) -> list[tuple[int, int]]:
+    """Counts ``(successes, trials)`` whose trials rise by 0 to 50 per step.
+
+    Successes are drawn anywhere in ``[0, trials]``, so tails rise and
+    fall, and often at or next to ``trials / 2``, so walks cross balanced
+    counts.
+    """
+    walk, trials = [], 0
+    for _ in range(draw(st.integers(1, 30))):
+        trials += draw(st.integers(0, 50))
+        middle = trials // 2
+        successes = draw(
+            st.one_of(st.integers(0, trials), st.sampled_from([middle, trials - middle]))
+        )
+        walk.append((successes, trials))
+    return walk
+
+
+class TestWalker:
+    @settings(max_examples=100, deadline=None)
+    @given(walk=count_walks())
+    @example(walk=[(0, 0), (1, 2), (1, 3), (2, 3), (24, 50), (3, 50), (50, 100), (0, 101)])
+    def test_walks_are_exact(self, walk: list[tuple[int, int]]) -> None:
+        state = [0, 0, 1, 1]
+        for successes, trials in walk:
+            tail = min(successes, trials - successes)
+            pvalue = agents.walk_pvalue(state, tail, trials)
+            assert pvalue == reference.exact_pvalue(successes, trials), (successes, trials)
+            assert state[:2] == [tail, trials]
+
+    @pytest.mark.parametrize("algorithm_id, seed", [(1, 3), (2, 4), (2, 9)])
+    def test_walks_only_where_both_statistics_reject(
+        self, monkeypatch: pytest.MonkeyPatch, algorithm_id: int, seed: int
+    ) -> None:
+        config = MatchingPenniesConfig(algorithm_id, steps=3000, seed=seed)
+        # Grown beforehand, the critical tails take no p-value in the episode.
+        agents.critical_tails(config.significance_level, config.steps)
+        calls = []
+        walk = agents.walk_pvalue
+
+        def counted(state: list[int], tail: int, trials: int) -> float:
+            calls.append((tail, trials))
+            return walk(state, tail, trials)
+
+        monkeypatch.setattr(agents, "walk_pvalue", counted)
+        run_matching_pennies(config)
+        # The reference replays the episode and names the trials on which
+        # both statistics reject, with their counts.
+        monkey, _, monkey_reward, _ = reference.run_matching_pennies(config)
+        predictor = reference.ReferencePredictor(algorithm_id, config.significance_level)
+        expected = []
+        for choice, reward in zip(monkey.tolist(), monkey_reward.tolist()):
+            rejected = predictor.rejected()
+            if len(rejected) == 2:
+                expected += [(min(ones, total - ones), total) for _, _, ones, total in rejected]
+            predictor.observe(choice, reward)
+        if algorithm_id == 1:
+            assert calls == []
+        else:
+            assert len(expected) > 100
+        assert sorted(calls) == sorted(expected)
 
 
 class TestCriticalTails:
