@@ -7,11 +7,15 @@ patterns for bias, and algorithm 2 additionally tests choice-and-reward
 patterns.  Both tests are exact two-sided binomial tests against 0.5.  A
 test rejects by the critical tail of its count.  Only when both of
 algorithm 2's statistics reject does it take their exact p-values, to
-exploit the smaller; each count walks its own tail state to its p-value.
-While the null is retained the predictor behaves exactly like algorithm
-0.  The decision rule lives in ``response_from_counts``, which both the
-predictor's per-step method and the fused trial loop of
-``scenarios.run_matching_pennies`` call.
+exploit the smaller.  While the null is retained the predictor behaves
+exactly like algorithm 0.  The decision rule lives in
+``response_from_counts``, which both the predictor's per-step method and
+the fused trial loop of ``scenarios.run_matching_pennies`` call.
+
+Every exact tail state (``walk_pvalue``) has one owner, which walks it
+from its own last count: each count-table entry, each significance
+level's critical-tail list (``critical_tails``), and
+``binomial_pvalue_half`` itself.
 
 Long algorithm-2 sessions cost more than linear time: both statistics
 reject on over half the trials (108,838 of 200k at seed 0), and each
@@ -50,11 +54,6 @@ __all__ = [
 ]
 
 
-# Tail states and p-values by ``(tail, trials)``; see ``walk_pvalue``.
-_TAIL_CACHE_SIZE = 4096
-_tail_states: OrderedDict[tuple[int, int], tuple[list[int], float]] = OrderedDict()
-
-
 def walk_pvalue(state: list[int], tail: int, trials: int) -> float:
     """Move ``state`` in place to ``(tail, trials)`` and return its p-value.
 
@@ -84,6 +83,9 @@ def walk_pvalue(state: list[int], tail: int, trials: int) -> float:
     return 1.0 if 2 * t == n else total / (1 << (n - 1))
 
 
+_pvalue_state = [0, 0, 1, 1]  # the one tail state ``binomial_pvalue_half`` walks
+
+
 def binomial_pvalue_half(successes: int, trials: int) -> float:
     """Exact two-sided binomial p-value against p = 0.5.
 
@@ -93,31 +95,23 @@ def binomial_pvalue_half(successes: int, trials: int) -> float:
     The sum is kept as an exact integer and the result is that rational
     correctly rounded to a float; a perfectly balanced count has p-value 1.
 
-    Tail states and p-values are cached per ``(t, n)`` in a
-    least-recently-used cache of ``_TAIL_CACHE_SIZE`` entries (a hit
-    refreshes the entry).  A miss walks (``walk_pvalue``) a copy of the
-    cached ``(t, n - 1)`` or ``(t - 1, n - 1)`` state, one step away for a
-    count that grows by one trial at a time, or else ``[0, n, 1, 1]``.
-    The trial loop does not come here: each of its counts walks its own
-    state.
+    It walks (``walk_pvalue``) one module-level state from the last call's
+    count, one step away for a count that grows by one trial or moves its
+    tail by one, and restarts from ``[0, n, 1, 1]`` when ``n`` is below the
+    last call's.  The trial loop does not come here: each of its counts
+    walks its own state.
     """
     if not 0 <= successes <= trials:
         raise ValueError(f"need 0 <= successes <= trials, got {successes}/{trials}")
-    key = t, n = int(min(successes, trials - successes)), int(trials)
-    # Taking the entry out and putting it back makes it the most recent.
-    entry = _tail_states.pop(key, None)
-    if entry is None:
-        nearest = _tail_states.get((t, n - 1)) or _tail_states.get((t - 1, n - 1))
-        state = nearest[0].copy() if nearest else [0, n, 1, 1]
-        entry = state, walk_pvalue(state, t, n)
-        if len(_tail_states) >= _TAIL_CACHE_SIZE:
-            _tail_states.popitem(last=False)
-    _tail_states[key] = entry
-    return entry[1]
+    tail, trials = int(min(successes, trials - successes)), int(trials)
+    if trials < _pvalue_state[1]:
+        _pvalue_state[:] = 0, trials, 1, 1
+    return walk_pvalue(_pvalue_state, tail, trials)
 
 
 _CRITICAL_LEVELS = 8  # critical-tail lists kept, the most recently used last
-_critical: OrderedDict[float, list[int]] = OrderedDict()  # by significance level
+# By significance level: the critical-tail list and the tail state it walks.
+_critical: OrderedDict[float, tuple[list[int], list[int]]] = OrderedDict()
 
 
 def critical_tails(alpha: float, trials: int) -> list[int]:
@@ -132,16 +126,17 @@ def critical_tails(alpha: float, trials: int) -> list[int]:
     * ``S(t, n+1) = S(t, n) + S(t-1, n) <= 2 S(t, n)``, so ``c[n+1] >= c[n]``.
     * ``S(t+1, n+1) = S(t+1, n) + S(t, n) >= 2 S(t, n)``, so ``c[n+1] <= c[n] + 1``.
 
-    So each new ``n`` takes one p-value, one cached step from the last.  The
-    list is shared by every caller with the same ``alpha``; the trial loop in
-    ``scenarios`` grows it as the predictor does.
+    So each new ``n`` takes one p-value, walked (``walk_pvalue``) one step
+    from the last by the list's own tail state.  The list is shared by every
+    caller with the same ``alpha``; the trial loop in ``scenarios`` grows it
+    as the predictor does.
     """
-    _critical[alpha] = critical = _critical.pop(alpha, [-1])
+    _critical[alpha] = critical, state = _critical.pop(alpha, None) or ([-1], [0, 0, 1, 1])
     if len(_critical) > _CRITICAL_LEVELS:
         _critical.popitem(last=False)
     tail = critical[-1]
     for n in range(len(critical), trials + 1):
-        if binomial_pvalue_half(tail + 1, n) < alpha:
+        if walk_pvalue(state, tail + 1, n) < alpha:
             tail += 1
         critical.append(tail)
     return critical
@@ -218,7 +213,6 @@ class MatchingPenniesPredictor:
         if not 0.0 < self.significance_level < 1.0:
             raise ValueError("significance_level must lie in (0, 1)")
         self._trials = 0
-        self._critical = critical_tails(self.significance_level, 0)
         # Count tables indexed by rolling context codes: low bits hold the
         # most recent step.  Entries are [action-1 count, total count, tail
         # state], the state as ``walk_pvalue`` takes it.
@@ -234,10 +228,9 @@ class MatchingPenniesPredictor:
         if self.algorithm_id == 0 or self._trials < self.context_length + 1:
             return 0.5
         choice = self._choice_table[self._choice_ctx]
-        if choice[1] >= len(self._critical):
-            self._critical = critical_tails(self.significance_level, choice[1])
+        critical = critical_tails(self.significance_level, choice[1])
         return response_from_counts(
-            self.algorithm_id, self._critical, choice, self._pair_table[self._pair_ctx]
+            self.algorithm_id, critical, choice, self._pair_table[self._pair_ctx]
         )
 
     def observe(self, opponent_choice: int, opponent_reward: int) -> None:

@@ -130,10 +130,6 @@ class GameTable:
         flat_col = [col[0, 0], col[1, 0], col[0, 1], col[1, 1]]
         return cls(2, np.array([flat_row, flat_col]))
 
-    def payoff(self, player: int, actions: Sequence[int]) -> float:
-        """Payoff of ``player`` at a +-1 profile (cooperate-positive)."""
-        return float(self.payoffs[player, profile_index(actions)])
-
 
 @dataclass(frozen=True)
 class UtilityPolynomial:

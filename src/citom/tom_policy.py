@@ -83,10 +83,6 @@ class LatentTypeSpace:
         prior.setflags(write=False)
         object.__setattr__(self, "prior", prior)
 
-    @property
-    def n_types(self) -> int:
-        return int(self.prior.size)
-
 
 @dataclass(frozen=True)
 class Channel:
@@ -164,10 +160,6 @@ class Policy:
                 f"got {len(index)}"
             )
         return self.table[index]
-
-    @classmethod
-    def uniform(cls, n_states: int, n_actions: int) -> "Policy":
-        return cls(np.full((n_states, n_actions), 1.0 / n_actions), "sa")
 
     @classmethod
     def greedy(cls, q_values: np.ndarray) -> "Policy":

@@ -80,8 +80,8 @@ class TestGameTable:
         table = GameTable.two_player(row, col)
         assert table.payoffs[0].tolist() == [3.0, 0.0, 5.0, 1.0]
         assert table.payoffs[1].tolist() == [3.0, 5.0, 0.0, 1.0]
-        assert table.payoff(0, (D, C)) == 5.0
-        assert table.payoff(1, (D, C)) == 0.0
+        assert table.payoffs[0, profile_index((D, C))] == 5.0
+        assert table.payoffs[1, profile_index((D, C))] == 0.0
 
     def test_shape_validation(self) -> None:
         with pytest.raises(ValueError):
@@ -195,14 +195,14 @@ class TestEffectiveGame:
     def test_matrix_entries(self) -> None:
         c = 0.25
         table = effective_game(EffectiveGameParam(c))
-        assert table.payoff(0, (C, C)) == 1.0
-        assert table.payoff(1, (C, C)) == 1.0
-        assert table.payoff(0, (C, D)) == -c
-        assert table.payoff(1, (C, D)) == 1 + c
-        assert table.payoff(0, (D, C)) == 1 + c
-        assert table.payoff(1, (D, C)) == -c
-        assert table.payoff(0, (D, D)) == 0.0
-        assert table.payoff(1, (D, D)) == 0.0
+        assert table.payoffs[0, profile_index((C, C))] == 1.0
+        assert table.payoffs[1, profile_index((C, C))] == 1.0
+        assert table.payoffs[0, profile_index((C, D))] == -c
+        assert table.payoffs[1, profile_index((C, D))] == 1 + c
+        assert table.payoffs[0, profile_index((D, C))] == 1 + c
+        assert table.payoffs[1, profile_index((D, C))] == -c
+        assert table.payoffs[0, profile_index((D, D))] == 0.0
+        assert table.payoffs[1, profile_index((D, D))] == 0.0
 
     def test_param_domain(self) -> None:
         with pytest.raises(ValueError):

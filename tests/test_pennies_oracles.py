@@ -4,7 +4,7 @@
 ``Fraction`` p-value, the predictor that decides from a candidate list
 of p-values and the per-trial loop in which each agent draws its own
 uniform.  The production p-value must equal the exact one bit for bit
-(whichever way its tail cache reached the state) and make the same
+(from whichever count its one tail state was walked) and make the same
 ``< 0.05`` decision as ``bdtr``, and so must every p-value of a tail state
 walked through any sequence of counts.  Algorithm 2 must walk p-values
 only on trials where both statistics reject, the critical-tail lists must
@@ -19,6 +19,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -159,6 +160,11 @@ class TestDecisionRule:
             expected.observe(choice, reward)
 
 
+def reset_pvalue_state() -> None:
+    """Put ``binomial_pvalue_half``'s one tail state back at its start."""
+    agents._pvalue_state[:] = [0, 0, 1, 1]
+
+
 @st.composite
 def counts(draw, max_trials: int = 3000) -> tuple[int, int]:
     trials = draw(st.integers(0, max_trials))
@@ -170,7 +176,7 @@ class TestExactPvalue:
     @given(count=counts(), clear=st.booleans())
     def test_random_counts_are_exact(self, count: tuple[int, int], clear: bool) -> None:
         if clear:
-            agents._tail_states.clear()
+            reset_pvalue_state()
         assert binomial_pvalue_half(*count) == reference.exact_pvalue(*count)
 
     @settings(max_examples=60, deadline=None)
@@ -183,14 +189,14 @@ class TestExactPvalue:
         self, start: tuple[int, int], steps: list[bool], clear_at: int
     ) -> None:
         # A predictor count gains one trial per visit, so after the first
-        # call every state is one step from the cached one, except right
-        # after the cache is cleared.  Walks that start near balance cross
+        # call every count is one step from the last one, except right
+        # after the state is reset.  Walks that start near balance cross
         # balanced counts.
-        agents._tail_states.clear()
+        reset_pvalue_state()
         successes, trials = start
         for index, success in enumerate(steps):
             if index == clear_at:
-                agents._tail_states.clear()
+                reset_pvalue_state()
             assert binomial_pvalue_half(successes, trials) == reference.exact_pvalue(
                 successes, trials
             ), (successes, trials)
@@ -198,7 +204,7 @@ class TestExactPvalue:
             trials += 1
 
     def test_balanced_walk_is_exact(self) -> None:
-        agents._tail_states.clear()
+        reset_pvalue_state()
         for trials in range(0, 300):
             successes = trials // 2
             assert binomial_pvalue_half(successes, trials) == reference.exact_pvalue(
@@ -206,7 +212,7 @@ class TestExactPvalue:
             )
 
     def test_rejection_agrees_with_bdtr(self) -> None:
-        agents._tail_states.clear()
+        reset_pvalue_state()
         critical = agents.critical_tails(0.05, 2000)
         for trials in range(0, 2001):
             successes = np.arange(trials + 1)
@@ -282,12 +288,38 @@ class TestWalker:
         assert sorted(calls) == sorted(expected)
 
 
+@st.composite
+def interleaved_steps(draw) -> list[tuple[int, int, int, int]]:
+    """Steps ``(successes, trials, level, grow_to)``.
+
+    Each step takes one p-value at ``(successes, trials)`` and then grows
+    the critical-tail list of significance level number ``level`` to
+    ``grow_to``.  Trials are drawn anywhere in ``[0, 150]`` and then rise,
+    repeat and fall, so every sequence does all three.  Successes sit
+    anywhere in ``[0, trials]`` or at balance.
+    """
+    all_trials = draw(st.lists(st.integers(0, 150), min_size=1, max_size=20))
+    rise = all_trials[-1] + draw(st.integers(1, 30))
+    all_trials += [rise, rise, draw(st.integers(0, rise - 1))]
+    steps = []
+    for trials in all_trials:
+        middle = trials // 2
+        successes = draw(
+            st.one_of(st.integers(0, trials), st.sampled_from([middle, trials - middle]))
+        )
+        steps.append((successes, trials, draw(st.integers(0, 3)), draw(st.integers(0, 180))))
+    return steps
+
+
+exact_pvalue = cache(reference.exact_pvalue)
+
+
 class TestCriticalTails:
     def test_matches_brute_force(self) -> None:
         alphas = (0.05, 0.01, 0.5, 1e-6, *ATTAINED_ALPHAS)
         last = 1000
         agents._critical.clear()
-        agents._tail_states.clear()
+        reset_pvalue_state()
         # Growth order must not matter: one list is grown to the end at
         # once, two are grown in turns one trial at a time, and the rest
         # in uneven strides.
@@ -300,11 +332,45 @@ class TestCriticalTails:
                 agents.critical_tails(alpha, trials)
             lists[alpha] = agents.critical_tails(alpha, last)
         for trials in range(last + 1):
-            # Row by row, every state is one cached step from the last row.
+            # Row by row, every count is one step from the last one.
             pvalues = [binomial_pvalue_half(t, trials) for t in range(trials // 2 + 1)]
             for alpha in alphas:
                 expected = max((t for t, p in enumerate(pvalues) if p < alpha), default=-1)
                 assert lists[alpha][trials] == expected, (alpha, trials)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        alphas=st.lists(
+            st.one_of(st.sampled_from((0.05, 0.01, *ATTAINED_ALPHAS)), st.floats(1e-6, 0.99)),
+            min_size=2,
+            max_size=3,
+            unique=True,
+        ),
+        steps=interleaved_steps(),
+    )
+    @example(
+        alphas=[0.05, 2**-10],
+        steps=[(3, 20, 0, 40), (0, 0, 1, 10), (10, 20, 1, 20), (10, 20, 0, 60),
+               (1, 15, 1, 100), (30, 61, 0, 5), (30, 61, 1, 120), (2, 9, 0, 0)],
+    )
+    def test_owners_interleaved_are_exact(
+        self, alphas: list[float], steps: list[tuple[int, int, int, int]]
+    ) -> None:
+        # binomial_pvalue_half's state and each level's own state are walked
+        # in turns; none may move another.
+        agents._critical.clear()
+        reset_pvalue_state()
+        lists = {}
+        for successes, trials, level, grow_to in steps:
+            pvalue = binomial_pvalue_half(successes, trials)
+            assert pvalue == exact_pvalue(successes, trials), (successes, trials)
+            alpha = alphas[level % len(alphas)]
+            lists[alpha] = agents.critical_tails(alpha, grow_to)
+            assert len(lists[alpha]) > grow_to
+        for alpha, critical in lists.items():
+            for trials, tail in enumerate(critical):
+                rejecting = (t for t in range(trials // 2 + 1) if exact_pvalue(t, trials) < alpha)
+                assert tail == max(rejecting, default=-1), (alpha, trials)
 
     def test_levels_bounded_and_exact_after_wide_sweep(self) -> None:
         agents._critical.clear()
@@ -314,34 +380,13 @@ class TestCriticalTails:
         assert 0 < len(agents._critical) <= agents._CRITICAL_LEVELS
         kept = [float(alpha) for alpha in alphas[-len(agents._critical) :]]
         assert list(agents._critical) == kept
-        for alpha, critical in agents._critical.items():
+        for alpha, (critical, state) in agents._critical.items():
+            # Each list's own tail state was last walked at its last trials.
+            assert state[1] == len(critical) - 1
             for trials, tail in enumerate(critical):
                 pvalues = [binomial_pvalue_half(t, trials) for t in range(trials // 2 + 1)]
                 expected = max((t for t, p in enumerate(pvalues) if p < alpha), default=-1)
                 assert tail == expected, (alpha, trials)
-
-
-class TestTailCache:
-    def test_bounded_after_long_walk(self) -> None:
-        agents._tail_states.clear()
-        successes = 0
-        for trials in range(1, 3 * agents._TAIL_CACHE_SIZE):
-            successes += trials % 3 == 0
-            binomial_pvalue_half(successes, trials)
-        assert len(agents._tail_states) == agents._TAIL_CACHE_SIZE
-        assert (successes, trials) in agents._tail_states
-
-    def test_hit_refreshes_entry(self) -> None:
-        agents._tail_states.clear()
-        binomial_pvalue_half(1, 3)
-        first = 10
-        for trials in range(first, first + agents._TAIL_CACHE_SIZE - 1):
-            binomial_pvalue_half(0, trials)
-        assert len(agents._tail_states) == agents._TAIL_CACHE_SIZE
-        binomial_pvalue_half(2, 3)
-        binomial_pvalue_half(0, first + agents._TAIL_CACHE_SIZE)
-        assert (1, 3) in agents._tail_states
-        assert (0, first) not in agents._tail_states
 
 
 def test_import_loads_no_scipy() -> None:

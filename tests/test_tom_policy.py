@@ -47,7 +47,7 @@ def random_distribution(rng: np.random.Generator, size: int) -> np.ndarray:
 class TestContainers:
     def test_latent_space_validation(self) -> None:
         space = LatentTypeSpace(np.array([0.25, 0.75]), labels=("a", "b"))
-        assert space.n_types == 2
+        assert space.prior.size == 2
         with pytest.raises(ValueError):
             LatentTypeSpace(np.array([0.5, 0.6]))
         with pytest.raises(ValueError):
@@ -77,7 +77,7 @@ class TestContainers:
             Policy(np.array([[0.5, 0.5]]), axes="sma")
 
     def test_uniform_and_greedy_builders(self) -> None:
-        uniform = Policy.uniform(2, 4)
+        uniform = Policy(np.full((2, 4), 0.25), "sa")
         assert np.all(uniform.table == 0.25)
         greedy = Policy.greedy(np.array([[1.0, 3.0], [2.0, 2.0]]))
         assert greedy.table.tolist() == [[0.0, 1.0], [1.0, 0.0]]
