@@ -11,133 +11,31 @@ the belief/anchoring side: Bayes updates over latent partner types,
 message selection through a simulated receiver, and anchored (piKL)
 policies with their objectives.  ``scenarios`` ties generators to the
 measure and ``cli`` exposes everything as commands.
+
+Each public name is declared once, in its module's ``__all__``, and the
+package re-exports the five lists above whole.  The one exception is
+``io``: the package republishes only three of its names, so those three
+are named here too.  A later wildcard import would silently rebind a
+name that two modules export; the duplicate check on ``citom.__all__``
+in ``tests/test_exports.py`` is what catches that.
 """
 
-from .info_measures import (
-    JointSeries,
-    LagPairDistribution,
-    MeasureReport,
-    SymbolSeries,
-    build_lag_pairs,
-    excess_tdmi,
-    mutual_information,
-    tdmi,
-)
-from .game_core import (
-    COOPERATE,
-    DEFECT,
-    EffectiveGameParam,
-    GameTable,
-    NashEquilibrium,
-    NashSet,
-    SignConvention,
-    UtilityPolynomial,
-    cofactors_2x2,
-    cofactors_n,
-    effective_game,
-    evaluate,
-    profile_actions,
-    profile_index,
-    pure_nash,
-    triadic_utilities,
-)
-from .agents import (
-    DeltaRuleLearner,
-    MatchingPenniesPredictor,
-    Orchestrator,
-    binomial_pvalue_half,
-    equilibrium_action,
-)
-from .tom_policy import (
-    BeliefState,
-    Channel,
-    LatentTypeSpace,
-    ObjectiveMode,
-    ObjectiveParams,
-    Policy,
-    anchor_objective,
-    bayes_update,
-    induced_message_policy,
-    kl_divergence,
-    message_expected_utilities,
-    pikl_best_response,
-    select_message,
-    tom_divergence,
-    tom_policy_mix,
-    unified_objective,
-)
-from .scenarios import (
-    EpisodeLog,
-    MatchingPenniesConfig,
-    MatchingPenniesLog,
-    TriadicConfig,
-    TriadicLog,
-    measure_log,
-    run_matching_pennies,
-    run_triadic,
-)
-from .io import (
-    ParseError,
-    SeriesFile,
-    parse_series_csv,
-)
+from .info_measures import *
+from .game_core import *
+from .agents import *
+from .tom_policy import *
+from .scenarios import *
+from .io import ParseError, SeriesFile, parse_series_csv
+from . import agents, game_core, info_measures, scenarios, tom_policy
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "SymbolSeries",
-    "JointSeries",
-    "LagPairDistribution",
-    "MeasureReport",
-    "build_lag_pairs",
-    "mutual_information",
-    "tdmi",
-    "excess_tdmi",
-    "COOPERATE",
-    "DEFECT",
-    "GameTable",
-    "UtilityPolynomial",
-    "EffectiveGameParam",
-    "NashEquilibrium",
-    "NashSet",
-    "SignConvention",
-    "profile_index",
-    "profile_actions",
-    "cofactors_2x2",
-    "cofactors_n",
-    "evaluate",
-    "effective_game",
-    "pure_nash",
-    "triadic_utilities",
-    "MatchingPenniesPredictor",
-    "DeltaRuleLearner",
-    "Orchestrator",
-    "binomial_pvalue_half",
-    "equilibrium_action",
-    "LatentTypeSpace",
-    "Channel",
-    "BeliefState",
-    "Policy",
-    "ObjectiveParams",
-    "ObjectiveMode",
-    "bayes_update",
-    "tom_policy_mix",
-    "induced_message_policy",
-    "message_expected_utilities",
-    "select_message",
-    "kl_divergence",
-    "tom_divergence",
-    "pikl_best_response",
-    "anchor_objective",
-    "unified_objective",
-    "TriadicConfig",
-    "MatchingPenniesConfig",
-    "TriadicLog",
-    "MatchingPenniesLog",
-    "EpisodeLog",
-    "run_triadic",
-    "run_matching_pennies",
-    "measure_log",
+    *info_measures.__all__,
+    *game_core.__all__,
+    *agents.__all__,
+    *tom_policy.__all__,
+    *scenarios.__all__,
     "ParseError",
     "SeriesFile",
     "parse_series_csv",

@@ -31,6 +31,8 @@ from typing import ClassVar, Iterable, Sequence
 import numpy as np
 
 __all__ = [
+    "COOPERATE",
+    "DEFECT",
     "SignConvention",
     "GameTable",
     "UtilityPolynomial",

@@ -1,8 +1,12 @@
 """Every exported name resolves, once, in the package and each module.
 
-Deleting a public name touches its module, that module's ``__all__`` and
-the package's imports and ``__all__``; a stale entry in any of them
-fails here instead of at ``from citom import *``.
+A public name is declared once, in its module's ``__all__``: ``citom``
+re-exports those lists whole, except ``io``, whose three republished
+names the package imports and lists itself.  Deleting a public name
+touches its module and that module's ``__all__``; a stale entry fails
+here instead of at ``from citom import *``.  The duplicate check on
+``citom.__all__`` is what catches two modules exporting the same name,
+which the package's wildcard imports would let the later one rebind.
 """
 
 from __future__ import annotations

@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import triad_reference as reference
 from citom.game_core import COOPERATE, DEFECT, triadic_utilities
 from citom.scenarios import (
     MatchingPenniesConfig,
@@ -36,6 +39,26 @@ class TestConfigs:
             TriadicConfig(mode="a", taus=())
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             TriadicConfig(mode="a", seed=-1)
+
+    @pytest.mark.parametrize("mode", ["a", "b"])
+    @pytest.mark.parametrize("amplitude", [0.0, -0.1, 0.6, np.nan, np.inf])
+    def test_triadic_bad_amplitude_rejected(self, mode: str, amplitude: float) -> None:
+        with pytest.raises(ValueError, match="amplitude must lie in"):
+            TriadicConfig(mode=mode, steps=10, amplitude=amplitude)
+
+    @pytest.mark.parametrize("mode", ["a", "b"])
+    @pytest.mark.parametrize("amplitude", [2.0**-54, 1e-300, 5e-324])
+    def test_triadic_uncalibratable_amplitude_rejected(
+        self, mode: str, amplitude: float
+    ) -> None:
+        with pytest.raises(ValueError, match="calibration must single out one sign"):
+            TriadicConfig(mode=mode, steps=10, amplitude=amplitude)
+
+    @pytest.mark.parametrize("mode", ["a", "b"])
+    @pytest.mark.parametrize("share", [-0.1, 1.1, np.nan, np.inf, -np.inf])
+    def test_triadic_bad_revenue_share_rejected(self, mode: str, share: float) -> None:
+        with pytest.raises(ValueError, match="revenue_share must lie in"):
+            TriadicConfig(mode=mode, steps=10, revenue_share=share)
 
     def test_matching_pennies_validation(self) -> None:
         with pytest.raises(ValueError):
@@ -87,6 +110,39 @@ class TestTriadicModeA:
         np.testing.assert_array_equal(first.signal, second.signal)
         other = run_triadic(TriadicConfig(mode="a", steps=200, seed=10))
         assert not np.array_equal(first.signal, other.signal)
+
+
+class TestTriadicOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        mode=st.sampled_from(["a", "b"]),
+        steps=st.integers(2, 500),
+        seed=st.integers(0, 2**32 - 1),
+        amplitude=st.one_of(
+            st.sampled_from([0.5, 0.25]), st.floats(0.0, 0.5, exclude_min=True)
+        ),
+        share=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    )
+    def test_matches_per_step_reference(
+        self, data, mode: str, steps: int, seed: int, amplitude: float, share: float
+    ) -> None:
+        delay = data.draw(st.integers(0, steps + 2), label="delay")
+        if 1.0 - amplitude == 1.0:
+            # The game ties at this coupling, so no emission sign calibrates.
+            with pytest.raises(ValueError, match="calibration"):
+                TriadicConfig(mode=mode, steps=steps, taus=(1,), amplitude=amplitude)
+            return
+        config = TriadicConfig(
+            mode=mode, steps=steps, seed=seed, delay=delay, taus=(1,),
+            amplitude=amplitude, revenue_share=share,
+        )
+        log = run_triadic(config)
+        actual = (log.signal, log.x1, log.coupling, log.x2, log.x3,
+                  log.u1, log.u2, log.u3, log.value)
+        for got, want in zip(actual, reference.run_triadic(config), strict=True):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
 
 
 class TestTriadicModeB:
