@@ -169,25 +169,12 @@ class UtilityPolynomial:
         return float(self.cofactors[mask])
 
 
-def _popcounts(size: int) -> np.ndarray:
-    return np.array([int(v).bit_count() for v in range(size)], dtype=np.int64)
-
-
-def _parity_matrix(n_players: int, convention: SignConvention) -> np.ndarray:
-    """Signs ``prod_{j in S} x_j`` for every (subset mask, profile index).
-
-    Under the cooperate-positive convention a set profile bit means spin
-    -1, so the parity is ``(-1)^popcount(mask & index)``; the
-    defect-positive convention additionally flips each row by
-    ``(-1)^|S|``.
-    """
-    size = 1 << n_players
-    indices = np.arange(size)
-    pop = _popcounts(size)
-    parity = 1.0 - 2.0 * (pop[indices[:, None] & indices[None, :]] & 1)
-    if convention is SignConvention.DEFECT_POSITIVE:
-        parity *= (1.0 - 2.0 * (pop & 1))[:, None]
-    return parity
+def _monomials(actions: Sequence[float]) -> np.ndarray:
+    """``prod_{j in S} x_j`` per mask, in :class:`UtilityPolynomial`'s bit layout."""
+    monomials = np.ones(1)
+    for value in reversed(actions):
+        monomials = np.concatenate((monomials, monomials * value))
+    return monomials
 
 
 def cofactors_n(
@@ -203,9 +190,12 @@ def cofactors_n(
     """
     if not 0 <= player < table.n_players:
         raise ValueError(f"player {player} out of range")
-    parity = _parity_matrix(table.n_players, convention)
-    cofactors = parity @ table.payoffs[player] / float(1 << table.n_players)
-    return UtilityPolynomial(table.n_players, cofactors, convention)
+    n = table.n_players
+    profiles = [profile_actions(index, n, convention) for index in range(1 << n)]
+    # One row per mask, C-contiguous: a transposed view changes last bits.
+    parity = np.stack([_monomials(spins) for spins in profiles], axis=1)
+    cofactors = parity @ table.payoffs[player] / float(1 << n)
+    return UtilityPolynomial(n, cofactors, convention)
 
 
 def cofactors_2x2(
@@ -256,17 +246,7 @@ def evaluate(polynomial: UtilityPolynomial, actions: Sequence[float]) -> float:
         raise ValueError(
             f"expected {polynomial.n_players} actions, got {len(actions)}"
         )
-    n = polynomial.n_players
-    total = 0.0
-    for mask in range(1 << n):
-        term = float(polynomial.cofactors[mask])
-        if term == 0.0 and mask:
-            continue
-        for j in range(n):
-            if (mask >> (n - 1 - j)) & 1:
-                term *= actions[j]
-        total += term
-    return total
+    return float(polynomial.cofactors @ _monomials(actions))
 
 
 @dataclass(frozen=True)
@@ -364,6 +344,8 @@ def triadic_utilities(
     """
     if not -0.5 <= x1 <= 0.5:
         raise ValueError(f"x1 must lie in [-1/2, 1/2], got {x1}")
+    if not 0.0 <= revenue_share <= 1.0:
+        raise ValueError(f"revenue_share must lie in [0, 1], got {revenue_share}")
     _validate_spin((x2, x3))
     table = effective_game(EffectiveGameParam(x1))
     index = profile_index((x2, x3))

@@ -39,6 +39,7 @@ Counting requires ``K * K < 2**63``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -59,6 +60,24 @@ _INT64_LIMIT = 2**63
 # Table cells in one chunk of the row-sum buffer (see ``_mutual_information``).
 _CHUNK_CELLS = 1 << 20
 
+_DIST_TOL = 1e-9
+
+
+def as_distribution(values: np.ndarray | Sequence[float], label: str) -> np.ndarray:
+    """``values`` as a float64 vector, checked to be a distribution named ``label``."""
+    dist = np.asarray(values, dtype=np.float64)
+    if dist.ndim != 1:
+        raise ValueError(f"{label} must be 1-D, got shape {dist.shape}")
+    if dist.size == 0:
+        raise ValueError(f"{label} must be non-empty")
+    if not np.isfinite(dist).all():
+        raise ValueError(f"{label} must be finite")
+    if dist.min() < 0.0:
+        raise ValueError(f"{label} must be non-negative")
+    if abs(float(dist.sum()) - 1.0) > _DIST_TOL:
+        raise ValueError(f"{label} must sum to 1, got {float(dist.sum())!r}")
+    return dist
+
 
 @dataclass(frozen=True)
 class SymbolSeries:
@@ -76,14 +95,20 @@ class SymbolSeries:
     alphabet_size: int
 
     def __post_init__(self) -> None:
-        symbols = np.asarray(self.symbols, dtype=np.int64)
+        symbols = np.asarray(self.symbols)
         if symbols.ndim != 1:
             raise ValueError(f"symbols must be 1-D, got shape {symbols.shape}")
         if symbols.size == 0:
             raise ValueError("series must contain at least one step")
         if self.alphabet_size < 1:
             raise ValueError(f"alphabet_size must be >= 1, got {self.alphabet_size}")
-        if symbols.size and (symbols.min() < 0 or symbols.max() >= self.alphabet_size):
+        if symbols.dtype.kind not in "biu":
+            values = symbols.astype(np.float64)
+            bad = np.flatnonzero(~np.isfinite(values) | (values != np.trunc(values)))
+            if bad.size:
+                raise ValueError(f"symbols must be integers, got {values[bad[0]]}")
+        symbols = symbols.astype(np.int64, copy=False)
+        if symbols.min() < 0 or symbols.max() >= self.alphabet_size:
             raise ValueError(
                 f"symbols must lie in [0, {self.alphabet_size}), "
                 f"found range [{symbols.min()}, {symbols.max()}]"
@@ -170,13 +195,7 @@ class LagPairDistribution:
             raise ValueError(f"tau must be >= 1, got {self.tau}")
         if self.sample_count < 0:
             raise ValueError(f"sample_count must be >= 0, got {self.sample_count}")
-        if not np.isfinite(probs).all():
-            raise ValueError("probabilities must be finite")
-        if probs.min() < 0.0:
-            raise ValueError("probabilities must be non-negative")
-        total = float(probs.sum())
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"probabilities must sum to 1, got {total!r}")
+        as_distribution(probs.ravel(), "probabilities")
         probs.setflags(write=False)
         object.__setattr__(self, "probabilities", probs)
 

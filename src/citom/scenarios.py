@@ -87,10 +87,10 @@ class TriadicConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         # The orchestrator's own checks: the amplitude's range, then a sign
         # that calibrates (from 2**-54 down, ``1 - amplitude`` rounds to 1).
+        # Then the utilities' own check of the revenue share's range.
         Orchestrator(1, self.amplitude)
         Orchestrator.calibrated(self.amplitude)
-        if not 0.0 <= self.revenue_share <= 1.0:
-            raise ValueError(f"revenue_share must lie in [0, 1], got {self.revenue_share}")
+        triadic_utilities(0.0, COOPERATE, COOPERATE, self.revenue_share)
         object.__setattr__(self, "taus", validated_taus(self.taus, self.steps))
 
 

@@ -32,6 +32,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .info_measures import as_distribution
+
 __all__ = [
     "LatentTypeSpace",
     "Channel",
@@ -51,24 +53,6 @@ __all__ = [
     "unified_objective",
 ]
 
-_DIST_TOL = 1e-9
-
-
-def _as_distribution(values: np.ndarray | Sequence[float], label: str) -> np.ndarray:
-    dist = np.asarray(values, dtype=np.float64)
-    if dist.ndim != 1:
-        raise ValueError(f"{label} must be 1-D, got shape {dist.shape}")
-    if dist.size == 0:
-        raise ValueError(f"{label} must be non-empty")
-    if not np.isfinite(dist).all():
-        raise ValueError(f"{label} must be finite")
-    if dist.min() < 0.0:
-        raise ValueError(f"{label} must be non-negative")
-    if abs(float(dist.sum()) - 1.0) > _DIST_TOL:
-        raise ValueError(f"{label} must sum to 1, got {float(dist.sum())!r}")
-    return dist
-
-
 @dataclass(frozen=True)
 class LatentTypeSpace:
     """Finite set of latent partner types with a prior."""
@@ -77,7 +61,7 @@ class LatentTypeSpace:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        prior = _as_distribution(self.prior, "prior")
+        prior = as_distribution(self.prior, "prior")
         if self.labels is not None and len(self.labels) != prior.size:
             raise ValueError("labels must match the number of types")
         prior.setflags(write=False)
@@ -95,7 +79,7 @@ class Channel:
         if lik.ndim != 2:
             raise ValueError(f"likelihood must be 2-D, got shape {lik.shape}")
         for row in lik:
-            _as_distribution(row, "likelihood row")
+            as_distribution(row, "likelihood row")
         lik.setflags(write=False)
         object.__setattr__(self, "likelihood", lik)
 
@@ -115,7 +99,7 @@ class BeliefState:
     posterior: np.ndarray
 
     def __post_init__(self) -> None:
-        posterior = _as_distribution(self.posterior, "posterior")
+        posterior = as_distribution(self.posterior, "posterior")
         posterior.setflags(write=False)
         object.__setattr__(self, "posterior", posterior)
 
@@ -144,7 +128,7 @@ class Policy:
             )
         flat = table.reshape(-1, table.shape[-1])
         for row in flat:
-            _as_distribution(row, "policy row")
+            as_distribution(row, "policy row")
         table.setflags(write=False)
         object.__setattr__(self, "table", table)
 
@@ -298,8 +282,8 @@ def kl_divergence(
     Mass of ``p`` outside the support of ``q`` makes the divergence
     infinite and raises instead of returning a float.
     """
-    p = _as_distribution(p, "p")
-    q = _as_distribution(q, "q")
+    p = as_distribution(p, "p")
+    q = as_distribution(q, "q")
     if p.size != q.size:
         raise ValueError(f"distributions differ in size: {p.size} vs {q.size}")
     return _kl_nats(p, q) / log(2.0)
@@ -342,7 +326,7 @@ def pikl_best_response(
     Non-finite Q-values and a negative or non-finite ``lam`` are rejected.
     """
     q = np.asarray(q_values, dtype=np.float64)
-    anchor = _as_distribution(anchor, "anchor")
+    anchor = as_distribution(anchor, "anchor")
     if q.shape != anchor.shape:
         raise ValueError(f"q_values shape {q.shape} must match anchor {anchor.shape}")
     if not np.isfinite(q).all():
@@ -428,7 +412,7 @@ def _check_state_inputs(
             f"policy shape {policy.table.shape} must match q_values "
             f"{params.q_values.shape}"
         )
-    dist = _as_distribution(state_distribution, "state_distribution")
+    dist = as_distribution(state_distribution, "state_distribution")
     if dist.size != policy.table.shape[0]:
         raise ValueError("state_distribution must cover every state")
     return dist

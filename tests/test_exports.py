@@ -7,13 +7,19 @@ touches its module and that module's ``__all__``; a stale entry fails
 here instead of at ``from citom import *``.  The duplicate check on
 ``citom.__all__`` is what catches two modules exporting the same name,
 which the package's wildcard imports would let the later one rebind.
+
+A rule that two modules share, such as the distribution check, lives
+under a public name in its home module: no citom module imports an
+underscore-prefixed name from another.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
 import pkgutil
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -28,3 +34,18 @@ def test_all_resolves_without_duplicates(name: str) -> None:
     exported = module.__all__
     assert [n for n, count in Counter(exported).items() if count > 1] == []
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+def test_no_module_imports_a_private_name_from_another() -> None:
+    private = []
+    for path in sorted(Path(citom.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "citom"
+            ):
+                private += [
+                    f"{path.name}: {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                ]
+    assert private == []

@@ -7,6 +7,7 @@ shares no code path with the package's transform.
 
 from __future__ import annotations
 
+import re
 from itertools import combinations
 
 import numpy as np
@@ -48,6 +49,22 @@ def brute_force_cofactor(
 def all_subsets(n: int) -> list[set[int]]:
     players = range(n)
     return [set(combo) for size in range(n + 1) for combo in combinations(players, size)]
+
+
+def popcount_parity(n: int, convention: SignConvention) -> np.ndarray:
+    """Signs ``prod_{j in S} x_j``, one row per subset mask, by popcount.
+
+    A set profile bit is spin -1 under the cooperate-positive
+    convention, so the sign is ``(-1)^popcount(mask & index)``; the
+    defect-positive convention flips each row by ``(-1)^|S|``.
+    """
+    size = 1 << n
+    pop = np.array([v.bit_count() for v in range(size)], dtype=np.int64)
+    indices = np.arange(size)
+    parity = 1.0 - 2.0 * (pop[indices[:, None] & indices[None, :]] & 1)
+    if convention is SignConvention.DEFECT_POSITIVE:
+        parity *= (1.0 - 2.0 * (pop & 1))[:, None]
+    return parity
 
 
 class TestProfileIndexing:
@@ -168,7 +185,39 @@ class TestCofactorsN:
                     )
 
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("convention", list(SignConvention))
+    def test_bytes_match_popcount_parity_transform(
+        self, n: int, convention: SignConvention
+    ) -> None:
+        parity = popcount_parity(n, convention)
+        rng = np.random.default_rng(300 + n)
+        for _ in range(20):
+            table = GameTable(n, rng.normal(size=(n, 2**n)))
+            for player in range(n):
+                expected = parity @ table.payoffs[player] / 2**n
+                got = cofactors_n(table, player, convention).cofactors
+                assert got.tobytes() == expected.tobytes()
+
+
 class TestEvaluate:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_matches_per_mask_loop_off_the_cube(self, n: int) -> None:
+        rng = np.random.default_rng(400 + n)
+        for convention in SignConvention:
+            table = GameTable(n, rng.normal(size=(n, 2**n)))
+            poly = cofactors_n(table, 0, convention)
+            for _ in range(20):
+                spins = rng.uniform(-1.5, 1.5, size=n).tolist()
+                expected = 0.0
+                for mask in range(2**n):
+                    term = float(poly.cofactors[mask])
+                    for j in range(n):
+                        if (mask >> (n - 1 - j)) & 1:
+                            term *= spins[j]
+                    expected += term
+                assert evaluate(poly, spins) == pytest.approx(expected, abs=1e-12)
+
     def test_hand_multilinear_value(self) -> None:
         # Polynomial 2 + 3 x0 - 5 x1 + 7 x0 x1 evaluated at (0.5, -2).
         poly = cofactors_n(GameTable(2, np.zeros((2, 4))), 0)
@@ -279,3 +328,9 @@ class TestTriadicUtilities:
             triadic_utilities(0.75, C, C)
         with pytest.raises(ValueError):
             triadic_utilities(0.25, 0, C)
+
+    @pytest.mark.parametrize("share", [np.nan, -0.1, 7.0])
+    def test_revenue_share_out_of_range_rejected(self, share: float) -> None:
+        message = re.escape(f"revenue_share must lie in [0, 1], got {share}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            triadic_utilities(-0.25, C, C, share)

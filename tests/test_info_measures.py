@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -44,6 +45,15 @@ class TestSymbolSeries:
             SymbolSeries(np.array([]), 2)
         with pytest.raises(ValueError):
             _series([0], 0)
+
+    def test_rejects_fractional_symbols(self) -> None:
+        with pytest.raises(ValueError, match=r"^symbols must be integers, got 1\.7$"):
+            SymbolSeries(np.array([0.0, 1.7, 1.2]), 2)
+        with pytest.raises(ValueError, match=r"^symbols must be integers, got nan$"):
+            SymbolSeries(np.array([np.nan, 1.0]), 2)
+        series = SymbolSeries(np.array([0.0, 1.0, 1.0]), 2)
+        assert series.symbols.dtype == np.int64
+        assert series.symbols.tolist() == [0, 1, 1]
 
     def test_rejects_2d_input(self) -> None:
         with pytest.raises(ValueError):
@@ -135,6 +145,19 @@ class TestLagPairDistribution:
     def test_rejects_non_finite_probabilities(self, bad: float) -> None:
         with pytest.raises(ValueError, match="finite"):
             LagPairDistribution.from_probabilities(np.array([[bad, 0.5], [0.25, 0.25]]), 1)
+
+    @pytest.mark.parametrize(
+        ("table", "message"),
+        [
+            ([[np.nan, 0.5], [0.25, 0.25]], "probabilities must be finite"),
+            ([[-0.25, 0.75], [0.25, 0.25]], "probabilities must be non-negative"),
+            ([[0.5, 0.1], [0.25, 0.25]], "probabilities must sum to 1, got 1.1"),
+            (np.zeros((0, 0)), "probabilities must be non-empty"),
+        ],
+    )
+    def test_messages(self, table: list[list[float]] | np.ndarray, message: str) -> None:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            LagPairDistribution.from_probabilities(np.array(table), 1)
 
 
 class TestMutualInformation:

@@ -7,6 +7,8 @@ information-theoretic summaries use statistical tolerances.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -57,7 +59,8 @@ class TestConfigs:
     @pytest.mark.parametrize("mode", ["a", "b"])
     @pytest.mark.parametrize("share", [-0.1, 1.1, np.nan, np.inf, -np.inf])
     def test_triadic_bad_revenue_share_rejected(self, mode: str, share: float) -> None:
-        with pytest.raises(ValueError, match="revenue_share must lie in"):
+        message = re.escape(f"revenue_share must lie in [0, 1], got {share}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
             TriadicConfig(mode=mode, steps=10, revenue_share=share)
 
     def test_matching_pennies_validation(self) -> None:
