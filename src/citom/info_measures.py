@@ -95,7 +95,7 @@ class SymbolSeries:
     alphabet_size: int
 
     def __post_init__(self) -> None:
-        symbols = np.asarray(self.symbols)
+        symbols = np.asarray(self.symbols).view()  # frozen, not the caller's
         if symbols.ndim != 1:
             raise ValueError(f"symbols must be 1-D, got shape {symbols.shape}")
         if symbols.size == 0:
@@ -188,7 +188,7 @@ class LagPairDistribution:
     sample_count: int = 0
 
     def __post_init__(self) -> None:
-        probs = np.asarray(self.probabilities, dtype=np.float64)
+        probs = np.asarray(self.probabilities, dtype=np.float64).view()  # frozen, not the caller's
         if probs.ndim != 2 or probs.shape[0] != probs.shape[1]:
             raise ValueError(f"probabilities must be square, got shape {probs.shape}")
         if self.tau < 1:

@@ -19,10 +19,10 @@ arithmetic for plain digit rows or a line-by-line pass for anything else
 (:func:`parse_series_csv` says exactly when), straight into columns.
 
 All writers go through an atomic write-then-rename so a crashed run
-never leaves a truncated artifact, and floats are rendered with six
-decimal places so identical runs produce identical bytes.  CSV rows are
-rendered and parsed ``BLOCK_ROWS`` at a time; the writer joins NUL-padded
-byte matrices of the cells and drops the NULs (see :func:`_column_cells`).
+never leaves a truncated artifact; the CSV writers return the bytes they
+built, which go to disk uncopied.  Floats get six decimals so identical
+runs give identical bytes.  Rows are rendered and parsed ``BLOCK_ROWS`` at
+a time; a block's cells fill one NUL-padded byte matrix, NULs then dropped.
 """
 
 from __future__ import annotations
@@ -85,13 +85,13 @@ def format_float(value: float) -> str:
     return "0.000000" if text == "-0.000000" else text
 
 
-def atomic_write_text(path: Path, content: str) -> None:
-    """Write via a temporary sibling and rename, so readers never see
-    partial content; if either step fails, the sibling is removed."""
+def atomic_write_text(path: Path, content: str | bytes | bytearray) -> None:
+    """Write ``content`` (``str`` as UTF-8) to a temporary sibling renamed into
+    place, so readers never see partial content; a failure removes the sibling."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_text(content, encoding="utf-8")
+        tmp.write_bytes(content.encode("utf-8") if isinstance(content, str) else content)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -278,53 +278,78 @@ def parse_series_csv(path: Path | str) -> SeriesFile:
 
 def _column_cells(column: np.ndarray) -> np.ndarray:
     """A block of a column as a ``(rows, width)`` uint8 matrix of NUL-padded
-    cells: ``str`` of integers, ``format_float`` of floats, each distinct
-    value (bit pattern for floats) rendered once.  No cell text holds a NUL
-    byte, so dropping a row's NULs leaves exactly its cells."""
-    floats = column.dtype.kind == "f"
-    keys = column.astype(np.float64).view(np.uint64) if floats else column
-    distinct, codes = np.unique(keys, return_inverse=True)
-    values = distinct.view(np.float64) if floats else distinct
-    texts = map(format_float if floats else str, values.tolist())
-    table = np.array(list(texts), dtype=np.bytes_)
-    return table[codes].view(np.uint8).reshape(len(column), table.itemsize)
+    cells.  Floats call ``format_float`` once per distinct bit pattern.
+    Integers and bools are written by digit place: a sign column (``-`` or
+    NUL) only if some value is negative, then the digits right-aligned
+    behind leading NULs.  No cell text holds a NUL byte, so dropping a
+    row's NULs leaves exactly its cells."""
+    if column.dtype.kind == "f":
+        keys = column.astype(np.float64).view(np.uint64)
+        distinct, codes = np.unique(keys, return_inverse=True)
+        texts = map(format_float, distinct.view(np.float64).tolist())
+        table = np.array(list(texts), dtype=np.bytes_)
+        return table[codes].view(np.uint8).reshape(len(column), table.itemsize)
+    sign = int(column.dtype.kind == "i" and column.min() < 0)
+    magnitude = column.astype(np.uint64)
+    if sign:  # as uint64, 0 - v is |v|, the int64 minimum's included
+        magnitude = np.where(column < 0, 0 - magnitude, magnitude)
+    cells = np.zeros((len(column), sign + len(str(magnitude.max()))), dtype=np.uint8)
+    if sign:
+        cells[:, 0] = (column < 0) * ord("-")
+    for place in range(cells.shape[1] - 1, sign - 1, -1):  # units first
+        tens = magnitude // 10 if place > sign else 0
+        digit = magnitude - tens * 10 + ord("0")
+        cells[:, place] = digit * (magnitude > 0) if place < cells.shape[1] - 1 else digit
+        magnitude = tens
+    return cells
 
 
-def columns_csv_text(header: Sequence[str], columns: Sequence[np.ndarray]) -> str:
+def _padded_rows(columns: Sequence[np.ndarray], start: int) -> bytearray:
+    """The block of rows from ``start``: each column's NUL-padded cells then
+    ``,``, the last a line feed, filled through one ``(rows, width)`` matrix."""
+    cells = [_column_cells(column[start : start + BLOCK_ROWS]) for column in columns]
+    ends = np.cumsum([block.shape[1] + 1 for block in cells])
+    padded = bytearray(b",") * (len(cells[0]) * int(ends[-1]))
+    rows = np.frombuffer(padded, dtype=np.uint8).reshape(len(cells[0]), -1)
+    for block, end in zip(cells, ends):
+        rows[:, end - block.shape[1] - 1 : end - 1] = block
+    rows[:, -1] = ord("\n")
+    return padded
+
+
+def columns_csv_text(header: Sequence[str], columns: Sequence[np.ndarray]) -> bytearray:
     """A header line, then one CSV row per index of the equal-length
-    ``columns``; each column's cell format follows its dtype."""
+    ``columns``; each column's cell format follows its dtype.  The UTF-8
+    text is returned in the bytearray it was built in; each block drops its
+    NULs in one flat ``translate``."""
     text = bytearray((",".join(header) + "\n").encode("utf-8"))
     for start in range(0, len(columns[0]), BLOCK_ROWS):
-        cells = [_column_cells(c[start : start + BLOCK_ROWS]) for c in columns]
-        comma = np.full((len(cells[0]), 1), ord(","), dtype=np.uint8)
-        rows = np.hstack([part for block in cells for part in (block, comma)])
-        rows[:, -1] = ord("\n")
-        text += rows[rows != 0].tobytes()
-    return text.decode("utf-8")
+        text += _padded_rows(columns, start).translate(None, b"\0")
+    return text
 
 
-def series_csv_text(series_file: SeriesFile) -> str:
+def series_csv_text(series_file: SeriesFile) -> bytearray:
     """Render a joint series with the alphabet declaration and header."""
     components = series_file.series.components
     sizes = ",".join(str(c.alphabet_size) for c in components)
-    return f"# {ALPHABET_KEY}: {sizes}\n" + columns_csv_text(
-        series_file.names, [c.symbols for c in components]
-    )
+    text = columns_csv_text(series_file.names, [c.symbols for c in components])
+    text[:0] = f"# {ALPHABET_KEY}: {sizes}\n".encode("utf-8")
+    return text
 
 
-def _episode_csv_text(log, index: str, fields: tuple[str, ...]) -> str:
+def _episode_csv_text(log, index: str, fields: tuple[str, ...]) -> bytearray:
     columns = [np.arange(len(log)), *(getattr(log, field) for field in fields)]
     return columns_csv_text((index, *fields), columns)
 
 
-def triadic_episode_csv_text(log) -> str:
+def triadic_episode_csv_text(log) -> bytearray:
     """Full per-step record of a triadic episode."""
     return _episode_csv_text(
         log, "step", ("signal", "x1", "coupling", "x2", "x3", "u1", "u2", "u3", "value")
     )
 
 
-def matching_pennies_episode_csv_text(log) -> str:
+def matching_pennies_episode_csv_text(log) -> bytearray:
     """Full per-trial record of a matching-pennies episode."""
     return _episode_csv_text(
         log, "trial", ("monkey", "computer", "monkey_reward", "computer_reward")

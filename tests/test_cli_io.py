@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +62,17 @@ class TestAtomicWrite:
         assert target.read_text() == "replaced\n"
         assert list(tmp_path.iterdir()) == [target]
 
+    @pytest.mark.parametrize(
+        "payload",
+        ["caf\u00e9,1\n", b"caf\xc3\xa9,1\n", bytearray(b"caf\xc3\xa9,1\n")],
+        ids=["str", "bytes", "bytearray"],
+    )
+    def test_str_is_utf8_and_bytes_are_verbatim(self, tmp_path: Path, payload) -> None:
+        target = tmp_path / "out.csv"
+        atomic_write_text(target, payload)
+        assert target.read_bytes() == b"caf\xc3\xa9,1\n"
+        assert list(tmp_path.iterdir()) == [target]
+
     def test_failed_rename_leaves_target_and_no_temporary(
         self, tmp_path: Path, monkeypatch: pytest.MonkeyPatch
     ) -> None:
@@ -73,6 +85,26 @@ class TestAtomicWrite:
         monkeypatch.setattr(os, "replace", refuse)
         with pytest.raises(OSError, match="rename refused"):
             atomic_write_text(target, "lost\n")
+        assert target.read_text() == "kept\n"
+        assert list(tmp_path.iterdir()) == [target]
+
+    @pytest.mark.parametrize(
+        "payload", ["lost\n", b"lost\n", bytearray(b"lost\n")], ids=["str", "bytes", "bytearray"]
+    )
+    def test_failed_write_leaves_target_and_no_temporary(
+        self, tmp_path: Path, monkeypatch: pytest.MonkeyPatch, payload
+    ) -> None:
+        target = tmp_path / "out.txt"
+        target.write_text("kept\n")
+        write_bytes = Path.write_bytes
+
+        def partial(self, data):
+            write_bytes(self, bytes(data)[:2])  # a torn temporary file
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_bytes", partial)
+        with pytest.raises(OSError, match="disk full"):
+            atomic_write_text(target, payload)
         assert target.read_text() == "kept\n"
         assert list(tmp_path.iterdir()) == [target]
 
@@ -122,14 +154,14 @@ class TestParseSeriesCsv:
                 )
             ),
         )
-        text = series_csv_text(series)
+        text = series_csv_text(series).decode("utf-8")
         path = write_series(tmp_path, text)
         parsed = parse_series_csv(path)
         assert parsed.names == series.names
         for ours, theirs in zip(series.series.components, parsed.series.components):
             np.testing.assert_array_equal(ours.symbols, theirs.symbols)
             assert ours.alphabet_size == theirs.alphabet_size
-        assert series_csv_text(parsed) == text
+        assert series_csv_text(parsed) == text.encode("utf-8")
 
     @pytest.mark.parametrize(
         ("text", "match"),
@@ -165,7 +197,7 @@ class TestParseSeriesCsv:
 class TestEpisodeRenderers:
     def test_triadic_rows(self) -> None:
         log = run_triadic(TriadicConfig(mode="b", steps=5, seed=0, taus=(1,)))
-        text = triadic_episode_csv_text(log)
+        text = triadic_episode_csv_text(log).decode("utf-8")
         lines = text.splitlines()
         assert lines[0] == "step,signal,x1,coupling,x2,x3,u1,u2,u3,value"
         assert len(lines) == 6
@@ -178,13 +210,27 @@ class TestEpisodeRenderers:
         log = run_matching_pennies(
             MatchingPenniesConfig(algorithm_id=0, steps=4, seed=0, taus=(1,))
         )
-        lines = matching_pennies_episode_csv_text(log).splitlines()
+        lines = matching_pennies_episode_csv_text(log).decode("utf-8").splitlines()
         assert lines[0] == "trial,monkey,computer,monkey_reward,computer_reward"
         assert len(lines) == 5
         for t, line in enumerate(lines[1:]):
             fields = line.split(",")
             assert fields[0] == str(t)
             assert int(fields[3]) == int(log.monkey[t] == log.computer[t])
+
+    def test_rendering_and_writing_hold_about_one_copy(self, tmp_path: Path) -> None:
+        # The 494,736-byte file peaks at 2.65x when rendered to str and
+        # encoded again by write_text, and at 1.69x as one bytearray written
+        # as is: the file plus one block's padded rows and NUL-free copy.
+        log = run_triadic(TriadicConfig(mode="b", steps=2 * BLOCK_ROWS + 3, seed=0))
+        target = tmp_path / "episode.csv"
+        tracemalloc.start()
+        try:
+            atomic_write_text(target, triadic_episode_csv_text(log))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * target.stat().st_size
 
 
 class TestMeasureRenderers:
@@ -308,7 +354,7 @@ class TestCliSimulate:
             )
         )
         path = tmp_path / "input.csv"
-        path.write_text(series_csv_text(SeriesFile(("p", "q"), joint)))
+        path.write_bytes(series_csv_text(SeriesFile(("p", "q"), joint)))
         out = tmp_path / "out"
         assert main(["measure", "--input", str(path), "--taus", "2", "--out", str(out)]) == 0
         payload = json.loads((out / "measures.json").read_text())

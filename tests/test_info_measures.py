@@ -62,6 +62,14 @@ class TestSymbolSeries:
     def test_length(self) -> None:
         assert len(_series([0, 1, 0], 2)) == 3
 
+    def test_freezes_a_view_not_the_callers_array(self) -> None:
+        symbols = np.array([0, 1, 1])
+        series = SymbolSeries(symbols, 2)
+        assert np.shares_memory(series.symbols, symbols)
+        assert not series.symbols.flags.writeable
+        assert symbols.flags.writeable
+        symbols[0] = 1  # the caller may still write its own array
+
 
 class TestJointSeries:
     def test_mixed_radix_encoding_component_zero_most_significant(self) -> None:
@@ -140,6 +148,14 @@ class TestLagPairDistribution:
             )
         with pytest.raises(ValueError):
             LagPairDistribution(np.eye(2) / 2, 0)
+
+    def test_freezes_a_view_not_the_callers_array(self) -> None:
+        probabilities = np.eye(2) / 2
+        dist = LagPairDistribution(probabilities, 1)
+        assert np.shares_memory(dist.probabilities, probabilities)
+        assert not dist.probabilities.flags.writeable
+        assert probabilities.flags.writeable
+        probabilities[0, 0] = 0.5  # the caller may still write its own array
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_probabilities(self, bad: float) -> None:
@@ -367,8 +383,8 @@ class TestResourceBounds:
         joint = _binary_agents(len(names), 200_000, seed=7)
         text = series_csv_text(SeriesFile(names, joint))
         path = tmp_path / "series.csv"
-        for newline in ("\n", "\r\n"):
-            path.write_bytes(text.replace("\n", newline).encode("utf-8"))
+        for newline in (b"\n", b"\r\n"):
+            path.write_bytes(text.replace(b"\n", newline))
             tracemalloc.start()
             try:
                 parse_series_csv(path)

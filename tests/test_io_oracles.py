@@ -50,7 +50,15 @@ FLOATS = st.one_of(
     st.floats(),
 )
 
-INT_DTYPES = (np.int64, np.int32, np.int8, np.uint8, np.uint64)
+INT_DTYPES = (np.int64, np.int32, np.int8, np.uint8, np.uint64, np.bool_)
+
+
+def int_range(dtype) -> tuple[int, int]:
+    """The smallest and largest value of an integer or bool dtype."""
+    if dtype is np.bool_:
+        return 0, 1
+    info = np.iinfo(dtype)
+    return int(info.min), int(info.max)
 
 
 @st.composite
@@ -60,8 +68,7 @@ def column(draw, length: int) -> np.ndarray:
         pool = np.array(draw(st.lists(FLOATS, min_size=1, max_size=12)))
     else:
         dtype = draw(st.sampled_from(INT_DTYPES))
-        info = np.iinfo(dtype)
-        values = st.integers(int(info.min), int(info.max))
+        values = st.integers(*int_range(dtype))
         pool = np.array(draw(st.lists(values, min_size=1, max_size=12)), dtype=dtype)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return rng.choice(pool, size=length)
@@ -78,7 +85,8 @@ class TestWriterMatchesReference:
     @given(columns())
     def test_random_int_and_float_columns(self, cols: list[np.ndarray]) -> None:
         header = [f"c{i}" for i in range(len(cols))]
-        assert columns_csv_text(header, cols) == reference.columns_csv_text(header, cols)
+        expected = reference.columns_csv_text(header, cols).encode("utf-8")
+        assert columns_csv_text(header, cols) == expected
 
     @pytest.mark.parametrize(
         "length", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3]
@@ -92,7 +100,8 @@ class TestWriterMatchesReference:
             rng.integers(-3, 3, size=length).astype(np.int32),
         ]
         header = ["step", "special", "small", "int"]
-        assert columns_csv_text(header, cols) == reference.columns_csv_text(header, cols)
+        expected = reference.columns_csv_text(header, cols).encode("utf-8")
+        assert columns_csv_text(header, cols) == expected
 
     def test_floats_rendered_once_per_distinct_value_per_block(
         self, monkeypatch: pytest.MonkeyPatch
@@ -108,7 +117,7 @@ class TestWriterMatchesReference:
         monkeypatch.setattr(citom_io, "format_float", counting)
         text = triadic_episode_csv_text(log)
         monkeypatch.undo()
-        assert text == reference.triadic_episode_csv_text(log)
+        assert text == reference.triadic_episode_csv_text(log).encode("utf-8")
         expected = 0
         for name in ("x1", "coupling", "u1", "u2", "u3"):
             values = getattr(log, name).view(np.uint64)
@@ -130,9 +139,10 @@ class TestWriterMatchesReference:
         log = run_triadic(
             TriadicConfig(mode=mode, steps=steps, seed=seed, delay=delay, taus=(1,))
         )
-        assert triadic_episode_csv_text(log) == reference.triadic_episode_csv_text(log)
+        expected = reference.triadic_episode_csv_text(log).encode("utf-8")
+        assert triadic_episode_csv_text(log) == expected
         series = SeriesFile(log.agent_names, log.joint_series())
-        assert series_csv_text(series) == reference.series_csv_text(series)
+        assert series_csv_text(series) == reference.series_csv_text(series).encode("utf-8")
 
     @settings(max_examples=4, deadline=None)
     @given(st.sampled_from([0, 1, 2]), st.sampled_from([2, 9, BLOCK_ROWS + 1]))
@@ -140,9 +150,50 @@ class TestWriterMatchesReference:
         log = run_matching_pennies(
             MatchingPenniesConfig(algorithm_id=algorithm_id, steps=steps, taus=(1,))
         )
-        assert matching_pennies_episode_csv_text(
-            log
-        ) == reference.matching_pennies_episode_csv_text(log)
+        expected = reference.matching_pennies_episode_csv_text(log).encode("utf-8")
+        assert matching_pennies_episode_csv_text(log) == expected
+
+
+def edge_values(dtype) -> np.ndarray:
+    """The extremes of ``dtype``, 0, +-1, and +-(10**d - 1), +-10**d at
+    every digit count it holds, in increasing order."""
+    low, high = int_range(dtype)
+    values = {low, high, 0, 1, -1}
+    for d in range(1, len(str(high)) + 1):
+        values |= {10**d - 1, 10**d, 1 - 10**d, -(10**d)}
+    return np.array(sorted(v for v in values if low <= v <= high), dtype=dtype)
+
+
+class TestIntegerCells:
+    """Integer and bool cells, written by digit place, against ``str(int(v))``."""
+
+    def test_bools_render_as_zero_and_one(self) -> None:
+        assert columns_csv_text(["b"], [np.array([True, False])]) == b"b\n1\n0\n"
+
+    @pytest.mark.parametrize("dtype", INT_DTYPES, ids=lambda d: np.dtype(d).name)
+    def test_extremes_and_digit_count_boundaries(self, dtype) -> None:
+        edges = edge_values(dtype)
+        cols = [edges, edges[::-1].copy(), np.roll(edges, 1)]
+        expected = reference.columns_csv_text(["a", "b", "c"], cols).encode("utf-8")
+        assert columns_csv_text(["a", "b", "c"], cols) == expected
+        small = [edges[(edges >= -1) & (edges <= 1)]]  # -1 alone needs a sign
+        expected = reference.columns_csv_text(["s"], small).encode("utf-8")
+        assert columns_csv_text(["s"], small) == expected
+
+    @pytest.mark.parametrize("dtype", INT_DTYPES, ids=lambda d: np.dtype(d).name)
+    def test_mixed_widths_across_block_boundaries(self, dtype) -> None:
+        edges = edge_values(dtype)
+        rng = np.random.default_rng(len(edges))
+        column = rng.choice(edges, size=2 * BLOCK_ROWS + 3)
+        # The first block mixes every width up to its last row, the second
+        # is one digit wide with no sign, the third holds both extremes.
+        column[BLOCK_ROWS - 2 * len(edges) : BLOCK_ROWS] = np.tile(edges, 2)
+        one_digit = edges[(edges >= 0) & (edges <= 9)]
+        column[BLOCK_ROWS : 2 * BLOCK_ROWS] = rng.choice(one_digit, size=BLOCK_ROWS)
+        column[-3:] = [edges[0], 0, edges[-1]]
+        cols = [column, column[::-1].copy()]
+        expected = reference.columns_csv_text(["a", "b"], cols).encode("utf-8")
+        assert columns_csv_text(["a", "b"], cols) == expected
 
 
 # Token spellings that int() accepts.
@@ -309,7 +360,7 @@ class TestFastPathMatchesReference:
         joint = JointSeries(
             tuple(SymbolSeries(rng.integers(0, 2, 2 * BLOCK_ROWS + 5), 2) for _ in names)
         )
-        text = series_csv_text(SeriesFile(names, joint))
+        text = series_csv_text(SeriesFile(names, joint)).decode("utf-8")
         lines = text.split("\n")
         lines[BLOCK_ROWS + 9] = " " + lines[BLOCK_ROWS + 9]
         passed: list[int] = []
