@@ -142,6 +142,14 @@ def critical_tails(alpha: float, trials: int) -> list[int]:
     return critical
 
 
+def check_predictor_settings(algorithm_id: int, significance_level: float) -> None:
+    """Raise ``ValueError`` unless ``MatchingPenniesPredictor`` accepts these."""
+    if algorithm_id not in (0, 1, 2):
+        raise ValueError(f"algorithm_id must be 0, 1 or 2, got {algorithm_id}")
+    if not 0.0 < significance_level < 1.0:
+        raise ValueError("significance_level must lie in (0, 1)")
+
+
 def new_count_table(context_bits: int) -> list[list]:
     """Fresh ``[action-1 count, total count, tail state]`` entries, one per context code."""
     return [[0, 0, [0, 0, 1, 1]] for _ in range(1 << context_bits)]
@@ -208,10 +216,7 @@ class MatchingPenniesPredictor:
     context_length: ClassVar[int] = 4
 
     def __post_init__(self) -> None:
-        if self.algorithm_id not in (0, 1, 2):
-            raise ValueError(f"algorithm_id must be 0, 1 or 2, got {self.algorithm_id}")
-        if not 0.0 < self.significance_level < 1.0:
-            raise ValueError("significance_level must lie in (0, 1)")
+        check_predictor_settings(self.algorithm_id, self.significance_level)
         self._trials = 0
         # Count tables indexed by rolling context codes: low bits hold the
         # most recent step.  Entries are [action-1 count, total count, tail

@@ -20,9 +20,10 @@ less predictable than its parts) and is reported, never clamped.
 
 ``tdmi`` and ``excess_tdmi`` count only the occupied cells of the
 ``K x K`` lag-pair table, where ``K`` is the (joint) alphabet size, so
-they use memory proportional to ``T + K`` plus one chunk of about 2**20
-table cells, never ``K * K``.  ``mutual_information`` takes a dense
-table's nonzero cells through the same MI function.  Both are
+they use memory proportional to ``T + K`` plus one cache-sized chunk of
+2**16 table cells, never ``K * K``; a ``JointSeries`` is encoded once for
+all lags.  ``mutual_information`` takes a dense table's nonzero cells
+through the same MI function.  Both are
 bit-identical to the dense sums of the reference estimator in
 ``tests/info_reference.py``: cell probabilities are the same quotients,
 and each marginal adds the same floats in the same order.  The present
@@ -58,7 +59,7 @@ __all__ = [
 _INT64_LIMIT = 2**63
 
 # Table cells in one chunk of the row-sum buffer (see ``_mutual_information``).
-_CHUNK_CELLS = 1 << 20
+_CHUNK_CELLS = 1 << 16
 
 _DIST_TOL = 1e-9
 
@@ -130,6 +131,7 @@ class JointSeries:
     """
 
     components: tuple[SymbolSeries, ...]
+    _encoded: SymbolSeries | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.components:
@@ -159,18 +161,20 @@ class JointSeries:
         The code of step ``t`` is ``(...(s_1 * k_2 + s_2) * k_3 + ...)``,
         i.e. agent 1 is the most significant digit.  Raises ``ValueError``
         when the joint alphabet has ``2**63`` symbols or more, because the
-        codes would not fit in int64.
+        codes would not fit in int64.  Later calls return the first result.
         """
-        size = self.joint_alphabet_size
-        if size >= _INT64_LIMIT:
-            raise ValueError(
-                f"joint alphabet of {size} symbols is too large to encode: "
-                f"the product of the alphabet sizes must be < 2**63"
-            )
-        codes = np.zeros(len(self), dtype=np.int64)
-        for comp in self.components:
-            codes = codes * comp.alphabet_size + comp.symbols
-        return SymbolSeries(codes, size)
+        if self._encoded is None:
+            size = self.joint_alphabet_size
+            if size >= _INT64_LIMIT:
+                raise ValueError(
+                    f"joint alphabet of {size} symbols is too large to encode: "
+                    f"the product of the alphabet sizes must be < 2**63"
+                )
+            codes = np.zeros(len(self), dtype=np.int64)
+            for comp in self.components:
+                codes = codes * comp.alphabet_size + comp.symbols
+            object.__setattr__(self, "_encoded", SymbolSeries(codes, size))
+        return self._encoded
 
 
 @dataclass(frozen=True)
@@ -279,10 +283,11 @@ def _mutual_information(
 
     ``rows``, ``cols`` and ``probs`` give each occupied cell's row
     (present symbol), column (lagged symbol) and probability, in
-    row-major order.  The occupied rows are scattered a chunk at a time
-    into one dense ``K``-wide buffer, so every row is summed by
-    ``sum(axis=1)`` over the same ``K`` values as in the dense table.
-    See ``mutual_information`` for the clamp at 0.
+    row-major order.  The occupied rows are scattered a chunk at a time,
+    by flat positions computed once per cell, into one dense ``K``-wide
+    buffer, so every row is summed by ``sum(axis=1)`` over the same ``K``
+    values as in the dense table.  See ``mutual_information`` for the
+    clamp at 0.
     """
     new_row = np.empty(rows.size, dtype=bool)
     new_row[0] = True
@@ -291,17 +296,15 @@ def _mutual_information(
     ranks = np.cumsum(new_row) - 1
     n_rows = bounds.size - 1
     per_chunk = min(max(1, _CHUNK_CELLS // k), n_rows)
-    buffer = np.zeros((per_chunk, k))
+    positions = ranks % per_chunk * k + cols  # in the flat buffer of the cell's chunk
+    buffer = np.zeros(per_chunk * k)
     row_sums = np.empty(n_rows)
     for first in range(0, n_rows, per_chunk):
         last = min(first + per_chunk, n_rows)
-        cells = slice(bounds[first], bounds[last])
-        local = ranks[cells] - first
-        buffer[local, cols[cells]] = probs[cells]
-        row_sums[first:last] = buffer[: last - first].sum(axis=1)
-        buffer[local, cols[cells]] = 0.0
-    # Release the chunk's pages before the per-cell temporaries take theirs.
-    del buffer
+        cells = positions[bounds[first] : bounds[last]]
+        buffer[cells] = probs[bounds[first] : bounds[last]]
+        buffer[: (last - first) * k].reshape(-1, k).sum(axis=1, out=row_sums[first:last])
+        buffer[cells] = 0.0
     product = row_sums[ranks]
     product *= np.bincount(cols, weights=probs, minlength=k)[cols]
     mi = float((probs * np.log2(probs / product)).sum())

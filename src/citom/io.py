@@ -196,22 +196,25 @@ def _convert_lines(lines: list[bytes], line_no: int, width: int) -> np.ndarray:
 def _digit_rows(chunk: np.ndarray, lines: int, width: int) -> np.ndarray | None:
     """``chunk``'s ``lines`` lines as a ``(lines, width)`` int64 array if
     each is ``width`` tokens of 1 to 18 ASCII digits joined by ``,``, else
-    ``None``.  The chunk's last line feed is implied."""
+    ``None``.  ``chunk`` holds its last line's line feed, if the file has one."""
     row_ends = (b"," * (width - 1) + b"\n") * lines
     separators = np.frombuffer(row_ends, dtype=np.uint8)
+    if chunk[-1] != ord("\n"):  # the file's unterminated last line
+        chunk = np.append(chunk, np.uint8(ord("\n")))
     digits = chunk - np.uint8(ord("0"))
-    ends = np.append(np.flatnonzero(digits > 9), chunk.size)
-    lengths = np.diff(ends, prepend=-1) - 1
+    ends = np.flatnonzero(digits > 9)
+    spans = np.ediff1d(ends, to_begin=ends[0] + 1)  # each token and its separator
+    shortest, longest = spans.min() - 1, spans.max() - 1
     # 18 digits always fit in int64.
     if (
         ends.size != separators.size
-        or not np.array_equal(chunk[ends[:-1]], separators[:-1])
-        or not 1 <= lengths.min() <= lengths.max() <= 18
+        or not np.array_equal(chunk[ends], separators)
+        or not 1 <= shortest <= longest <= 18
     ):
         return None
     values = np.zeros(ends.size, dtype=np.int64)
-    for place in range(lengths.max(), 0, -1):
-        live = lengths >= place
+    for place in range(longest, 0, -1):
+        live = spans > place if place > shortest else slice(None)  # a place every token has
         values[live] = values[live] * 10 + digits[ends[live] - place]
     return values.reshape(lines, width)
 
@@ -227,10 +230,10 @@ def _read_body(body: np.ndarray, width: int, line_no: int) -> np.ndarray:
     filled = start = 0
     for first in range(0, stops.size, BLOCK_ROWS):
         block_stops = stops[first : first + BLOCK_ROWS]
-        chunk = body[start : block_stops[-1]]
+        chunk = body[start : block_stops[-1] + 1]  # with its line feed, if any
         block = _digit_rows(chunk, block_stops.size, width)
         if block is None:
-            block = _convert_lines(chunk.tobytes().split(b"\n"), line_no + first, width)
+            block = _convert_lines(chunk.tobytes().splitlines(), line_no + first, width)
         columns[:, filled : filled + len(block)] = block.T
         filled += len(block)
         start = block_stops[-1] + 1

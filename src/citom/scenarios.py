@@ -32,6 +32,7 @@ from .agents import (
     DeltaRuleLearner,
     MatchingPenniesPredictor,
     Orchestrator,
+    check_predictor_settings,
     critical_tails,
     equilibrium_action,
     new_count_table,
@@ -108,7 +109,7 @@ class MatchingPenniesConfig:
 
     def __post_init__(self) -> None:
         # The agents' own checks, run when the config is built.
-        MatchingPenniesPredictor(self.algorithm_id, self.significance_level)
+        check_predictor_settings(self.algorithm_id, self.significance_level)
         if self.steps < 2:
             raise ValueError(f"steps must be >= 2, got {self.steps}")
         if self.seed < 0:

@@ -82,6 +82,19 @@ class TestJointSeries:
         with pytest.raises(ValueError):
             JointSeries((_series([0, 1], 2), _series([0], 2)))
 
+    def test_encodes_once_per_series(self) -> None:
+        rng = np.random.default_rng(11)
+        parts = tuple(SymbolSeries(rng.integers(0, 3, 300), 3) for _ in range(4))
+        joint = JointSeries(parts)
+        assert joint.encode() is joint.encode()
+        reports = [excess_tdmi(joint, tau) for tau in (1, 2, 3)]
+        assert reports == [excess_tdmi(JointSeries(parts), tau) for tau in (1, 2, 3)]
+        # A failed encoding keeps nothing: every call raises again.
+        too_large = JointSeries((_series([0, 1], 2**32), _series([1, 0], 2**31)))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="too large to encode"):
+                too_large.encode()
+
     def test_rejects_empty(self) -> None:
         with pytest.raises(ValueError):
             JointSeries(())
@@ -363,8 +376,8 @@ class TestResourceBounds:
             # One dense 4096 x 4096 float table is 134 MB.
             (12, 50_000, 32 * 2**20),
             # The marginal buffer holds only the rows that occur, not a
-            # full chunk of 2**20 cells (8 MiB).
-            (3, 10_000, 2**20),
+            # full chunk of 2**16 cells (512 KiB).
+            (3, 10_000, 2**19),
         ],
     )
     def test_peak_memory(self, agents: int, steps: int, bound: int) -> None:

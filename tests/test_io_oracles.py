@@ -363,6 +363,9 @@ class TestFastPathMatchesReference:
         text = series_csv_text(SeriesFile(names, joint)).decode("utf-8")
         lines = text.split("\n")
         lines[BLOCK_ROWS + 9] = " " + lines[BLOCK_ROWS + 9]
+        # One block of 1- and 18-digit tokens, the last line unterminated.
+        tokens = rng.choice(np.array(["7", "0", "9" * 18, "1" + "0" * 17]), (BLOCK_ROWS, 3))
+        mixed = "a,b,c\n" + "\n".join(",".join(row) for row in tokens.tolist())
         passed: list[int] = []
         symbol_block = citom_io._symbol_block
 
@@ -377,6 +380,7 @@ class TestFastPathMatchesReference:
         for variant, least, most in [
             (text, 0, 0),
             (text.replace("\n", "\r\n"), 0, 0),
+            (mixed, 0, 0),
             (text + "\n# end\n", 0, BLOCK_ROWS),
             ("\n".join(lines), 1, BLOCK_ROWS),
         ]:

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import triad_reference as reference
+from citom import agents
 from citom.game_core import COOPERATE, DEFECT, triadic_utilities
 from citom.scenarios import (
     MatchingPenniesConfig,
@@ -77,6 +78,23 @@ class TestConfigs:
     def test_matching_pennies_bad_significance_level_rejected(self, alpha: float) -> None:
         with pytest.raises(ValueError, match="significance_level must lie in"):
             MatchingPenniesConfig(algorithm_id=1, steps=200, significance_level=alpha)
+
+    def test_matching_pennies_config_allocates_no_count_table(
+        self, monkeypatch: pytest.MonkeyPatch
+    ) -> None:
+        tables: list[int] = []
+        new_count_table = agents.new_count_table
+
+        def counting(context_bits: int) -> list[list]:
+            tables.append(context_bits)
+            return new_count_table(context_bits)
+
+        monkeypatch.setattr(agents, "new_count_table", counting)
+        for algorithm_id in (0, 1, 2):
+            MatchingPenniesConfig(algorithm_id=algorithm_id, steps=200)
+        assert tables == []
+        agents.MatchingPenniesPredictor(2)
+        assert tables == [4, 8]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_matching_pennies_non_finite_learner_rejected(self, bad: float) -> None:
