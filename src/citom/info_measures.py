@@ -21,19 +21,20 @@ less predictable than its parts) and is reported, never clamped.
 ``tdmi`` and ``excess_tdmi`` count only the occupied cells of the
 ``K x K`` lag-pair table, where ``K`` is the (joint) alphabet size, so
 they use memory proportional to ``T + K`` plus one cache-sized chunk of
-2**16 table cells, never ``K * K``; a ``JointSeries`` is encoded once for
-all lags.  ``mutual_information`` takes a dense table's nonzero cells
-through the same MI function.  Both are
-bit-identical to the dense sums of the reference estimator in
-``tests/info_reference.py``: cell probabilities are the same quotients,
-and each marginal adds the same floats in the same order.  The present
-(row) marginal scatters a chunk of occupied rows at a time into a dense
-``K``-wide buffer and sums it with ``sum(axis=1)``, as on the dense
-table.  The lagged (column) marginal is ``np.bincount`` over the cells'
-columns weighted by their probabilities, which adds each column's cells
-in row order, as the dense ``sum(axis=0)`` does.  Marginals from exact
-integer counts would be closer to the truth but would change the last
-bit of many results, and with it the bytes of ``measures.json``.
+2**16 table cells, never ``K * K``.  A ``JointSeries`` keeps its codes
+for all lags: the joint's, and those of each run of agents whose table
+``excess_tdmi`` counts once, summing out the others for each member.
+``mutual_information`` takes a dense table's nonzero cells through the
+same MI function.  All are bit-identical to the dense reference in
+``tests/info_reference.py``: counts are exact integers, probabilities
+the same quotients, and each marginal adds the same floats in the same
+order.  The present (row) marginal scatters a chunk of occupied rows at
+a time into a dense ``K``-wide buffer and sums it with ``sum(axis=1)``.
+The lagged (column) marginal is ``np.bincount`` over the cells' columns
+weighted by their probabilities, which adds each column's cells in row
+order, as the dense ``sum(axis=0)`` does.  Marginals from exact integer
+counts would be closer to the truth but would change the last bit of
+many results, and with it the bytes of ``measures.json``.
 Counting requires ``K * K < 2**63``.
 """
 
@@ -61,6 +62,10 @@ _INT64_LIMIT = 2**63
 # Table cells in one chunk of the row-sum buffer (see ``_mutual_information``).
 _CHUNK_CELLS = 1 << 16
 
+# Most cells in the lag-pair table of a run of agents that ``excess_tdmi``
+# counts together, so that a pair code fits in one byte.
+_GROUP_CELLS = 1 << 8
+
 _DIST_TOL = 1e-9
 
 
@@ -80,12 +85,33 @@ def as_distribution(values: np.ndarray | Sequence[float], label: str) -> np.ndar
     return dist
 
 
+def _frozen(array: np.ndarray, dtype) -> np.ndarray:
+    """``array`` as read-only ``dtype``, copied if it or what it views is writable."""
+    owner = array
+    while isinstance(owner, np.ndarray) and not owner.flags.writeable:
+        owner = owner.base
+    frozen = array.astype(dtype, copy=not (owner is None or isinstance(owner, bytes)))
+    frozen.setflags(write=False)
+    return frozen
+
+
+def _mixed_radix(components: Sequence[SymbolSeries], dtype) -> np.ndarray:
+    """Read-only ``dtype`` codes of the components, the first the most significant digit."""
+    codes = np.zeros(len(components[0]), dtype=dtype)
+    for comp in components:
+        codes *= comp.alphabet_size
+        codes += comp.symbols.astype(dtype, copy=False)
+    codes.setflags(write=False)
+    return codes
+
+
 @dataclass(frozen=True)
 class SymbolSeries:
     """A finite time series of symbols from a fixed alphabet ``{0..k-1}``.
 
     Args:
-        symbols: 1-D integer array, one entry per time step.
+        symbols: 1-D integer array, one entry per time step, kept as a
+            read-only int64 array (a copy if anyone could still write it).
         alphabet_size: size ``k`` of the alphabet; every symbol must lie
             in ``[0, k)``.  The alphabet is part of the type so that
             distributions built from the series have a well-defined
@@ -96,7 +122,7 @@ class SymbolSeries:
     alphabet_size: int
 
     def __post_init__(self) -> None:
-        symbols = np.asarray(self.symbols).view()  # frozen, not the caller's
+        symbols = np.asarray(self.symbols)
         if symbols.ndim != 1:
             raise ValueError(f"symbols must be 1-D, got shape {symbols.shape}")
         if symbols.size == 0:
@@ -108,14 +134,12 @@ class SymbolSeries:
             bad = np.flatnonzero(~np.isfinite(values) | (values != np.trunc(values)))
             if bad.size:
                 raise ValueError(f"symbols must be integers, got {values[bad[0]]}")
-        symbols = symbols.astype(np.int64, copy=False)
         if symbols.min() < 0 or symbols.max() >= self.alphabet_size:
             raise ValueError(
                 f"symbols must lie in [0, {self.alphabet_size}), "
                 f"found range [{symbols.min()}, {symbols.max()}]"
             )
-        symbols.setflags(write=False)
-        object.__setattr__(self, "symbols", symbols)
+        object.__setattr__(self, "symbols", _frozen(symbols, np.int64))
 
     def __len__(self) -> int:
         return int(self.symbols.size)
@@ -132,6 +156,7 @@ class JointSeries:
 
     components: tuple[SymbolSeries, ...]
     _encoded: SymbolSeries | None = field(default=None, init=False, repr=False, compare=False)
+    _groups: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.components:
@@ -170,11 +195,25 @@ class JointSeries:
                     f"joint alphabet of {size} symbols is too large to encode: "
                     f"the product of the alphabet sizes must be < 2**63"
                 )
-            codes = np.zeros(len(self), dtype=np.int64)
-            for comp in self.components:
-                codes = codes * comp.alphabet_size + comp.symbols
+            codes = _mixed_radix(self.components, np.int64)
             object.__setattr__(self, "_encoded", SymbolSeries(codes, size))
         return self._encoded
+
+    def _agent_groups(self) -> tuple[tuple[list[SymbolSeries], np.ndarray | None], ...]:
+        """Runs of consecutive agents whose lag-pair table has at most
+        ``_GROUP_CELLS`` cells, each with its uint8 codes (``None`` for one
+        agent), for ``excess_tdmi``.  Later calls return the first result."""
+        if self._groups is None:
+            runs, cells = [[]], 1
+            for comp in self.components:
+                cells *= comp.alphabet_size**2
+                if cells > _GROUP_CELLS and runs[-1]:
+                    runs.append([])
+                    cells = comp.alphabet_size**2
+                runs[-1].append(comp)
+            groups = tuple((run, _mixed_radix(run, np.uint8) if run[1:] else None) for run in runs)
+            object.__setattr__(self, "_groups", groups)
+        return self._groups
 
 
 @dataclass(frozen=True)
@@ -192,7 +231,7 @@ class LagPairDistribution:
     sample_count: int = 0
 
     def __post_init__(self) -> None:
-        probs = np.asarray(self.probabilities, dtype=np.float64).view()  # frozen, not the caller's
+        probs = np.asarray(self.probabilities, dtype=np.float64)
         if probs.ndim != 2 or probs.shape[0] != probs.shape[1]:
             raise ValueError(f"probabilities must be square, got shape {probs.shape}")
         if self.tau < 1:
@@ -200,8 +239,7 @@ class LagPairDistribution:
         if self.sample_count < 0:
             raise ValueError(f"sample_count must be >= 0, got {self.sample_count}")
         as_distribution(probs.ravel(), "probabilities")
-        probs.setflags(write=False)
-        object.__setattr__(self, "probabilities", probs)
+        object.__setattr__(self, "probabilities", _frozen(probs, np.float64))
 
     @classmethod
     def from_counts(cls, counts: np.ndarray, tau: int) -> "LagPairDistribution":
@@ -324,6 +362,7 @@ def build_lag_pairs(
     k, rows, cols, probs = _occupied_cells(series, tau)
     table = np.zeros((k, k))
     table[rows, cols] = probs
+    table.setflags(write=False)
     return LagPairDistribution(table, tau, len(series) - tau)
 
 
@@ -359,7 +398,23 @@ def excess_tdmi(joint: JointSeries, tau: int) -> MeasureReport:
     than the agents do separately; the plug-in estimates on both sides
     share the same bias direction but not magnitude, so small samples can
     distort the difference.
+
+    Each member's TDMI is ``tdmi(component, tau)`` bit for bit: a run of
+    agents is counted once per lag, and each member's counts, exact integer
+    sums over the other members, give the cells and quotients ``tdmi`` has.
     """
     joint_value = tdmi(joint, tau)
-    parts = tuple(tdmi(component, tau) for component in joint.components)
-    return MeasureReport(tau=tau, joint_tdmi=joint_value, per_agent_tdmi=parts)
+    parts = []
+    for run, codes in joint._agent_groups():
+        if codes is None:
+            parts.append(tdmi(run[0], tau))
+            continue
+        shape = [comp.alphabet_size for comp in run]
+        size, pairs = int(np.prod(shape)), len(codes) - tau
+        # Axes: each member's present symbol, then each member's lagged one.
+        table = np.bincount(codes[tau:] * size + codes[:-tau], minlength=size**2).reshape(shape * 2)
+        for agent in range(len(run)):
+            counts = table.sum(axis=tuple(a for a in range(table.ndim) if a % len(run) != agent))
+            rows, cols = np.nonzero(counts)  # row-major, as in ``_occupied_cells``
+            parts.append(_mutual_information(len(counts), rows, cols, counts[rows, cols] / pairs))
+    return MeasureReport(tau=tau, joint_tdmi=joint_value, per_agent_tdmi=tuple(parts))

@@ -14,9 +14,10 @@ number.
 
 Parsing reads the file once, with ``\r\n`` and ``\r`` ending lines as
 in text mode, and parses the header once.  One rule decides what a line
-is; each block of lines below the header picks its converter, array
-arithmetic for plain digit rows or a line-by-line pass for anything else
-(:func:`parse_series_csv` says exactly when), straight into columns.
+is; each block of lines below the header picks its converter, straight
+into read-only columns: strided arithmetic for digit rows of one token
+width (as citom writes them), array arithmetic for other digit rows, or a
+line-by-line pass for anything else (:func:`parse_series_csv` says when).
 
 All writers go through an atomic write-then-rename so a crashed run
 never leaves a truncated artifact; the CSV writers return the bytes they
@@ -196,11 +197,21 @@ def _convert_lines(lines: list[bytes], line_no: int, width: int) -> np.ndarray:
 def _digit_rows(chunk: np.ndarray, lines: int, width: int) -> np.ndarray | None:
     """``chunk``'s ``lines`` lines as a ``(lines, width)`` int64 array if
     each is ``width`` tokens of 1 to 18 ASCII digits joined by ``,``, else
-    ``None``.  ``chunk`` holds its last line's line feed, if the file has one."""
+    ``None``.  ``chunk`` holds its last line's line feed, if the file has one.
+    Tokens of one width are read as a ``(lines, width, span)`` byte matrix."""
     row_ends = (b"," * (width - 1) + b"\n") * lines
     separators = np.frombuffer(row_ends, dtype=np.uint8)
     if chunk[-1] != ord("\n"):  # the file's unterminated last line
         chunk = np.append(chunk, np.uint8(ord("\n")))
+    span, rest = divmod(chunk.size, separators.size)
+    if not rest and 2 <= span <= 19:  # maybe one token width: try strided
+        cells = chunk.reshape(lines, width, span)
+        digits = cells[:, :, :-1] - np.uint8(ord("0"))
+        if digits.max() <= 9 and np.array_equal(cells[:, :, -1].ravel(), separators):
+            values = digits[:, :, 0].astype(np.int64)
+            for place in range(1, span - 1):
+                values = values * 10 + digits[:, :, place]
+            return values
     digits = chunk - np.uint8(ord("0"))
     ends = np.flatnonzero(digits > 9)
     spans = np.ediff1d(ends, to_begin=ends[0] + 1)  # each token and its separator
@@ -238,6 +249,7 @@ def _read_body(body: np.ndarray, width: int, line_no: int) -> np.ndarray:
         filled += len(block)
         start = block_stops[-1] + 1
         del block  # before the next block's temporaries
+    columns.setflags(write=False)  # so each series keeps its row uncopied
     return columns[:, :filled]
 
 
@@ -246,9 +258,10 @@ def parse_series_csv(path: Path | str) -> SeriesFile:
 
     The body is converted ``BLOCK_ROWS`` lines at a time.  A block whose
     lines each hold the header's width of 1- to 18-digit ASCII tokens
-    joined by ``,`` takes array arithmetic; any other block (a blank or
-    comment line, a space, sign, longer token or non-ASCII digit) is
-    converted line by line, which names the first bad line of a file.
+    joined by ``,`` takes array arithmetic, strided if its tokens have one
+    width; any other block (a blank or comment line, a space, sign, longer
+    token or non-ASCII digit) is converted line by line, which names the
+    first bad line of a file.
     """
     path = Path(path)
     data = path.read_bytes()

@@ -119,7 +119,7 @@ class MatchingPenniesConfig:
 
 
 def _spin_to_symbol(values: np.ndarray) -> SymbolSeries:
-    return SymbolSeries((values > 0).astype(np.int64), 2)
+    return SymbolSeries(values > 0, 2)  # converted to int64 once
 
 
 @dataclass(frozen=True)

@@ -29,10 +29,39 @@ from citom.info_measures import (
     tdmi,
 )
 from citom.io import SeriesFile, parse_series_csv, series_csv_text
+from citom.scenarios import (
+    MatchingPenniesConfig,
+    TriadicConfig,
+    run_matching_pennies,
+    run_triadic,
+)
 
 
 def _series(values: list[int], alphabet: int) -> SymbolSeries:
     return SymbolSeries(np.array(values), alphabet)
+
+
+# Ways a caller can still write an array after handing it over: as its
+# owner, through the writable base of a read-only view, or through the
+# mutable buffer under a read-only array.
+HANDED_OVER = ("owner", "view", "buffer")
+
+
+def _handed_over(values: list, dtype, how: str):
+    """An array of ``values`` handed over ``how``, and a function that
+    overwrites it with 5s."""
+    if how == "buffer":
+        buffer = bytearray(np.array(values, dtype=dtype).tobytes())
+        array = np.frombuffer(buffer, dtype=dtype)
+        array.setflags(write=False)
+        fives = np.full(array.size, 5, dtype=dtype).tobytes()
+        return array.reshape(np.shape(values)), lambda: buffer.__setitem__(slice(None), fives)
+    owner = np.array(values, dtype=dtype)
+    if how == "owner":
+        return owner, lambda: owner.fill(5)
+    view = owner[...]
+    view.setflags(write=False)
+    return view, lambda: owner.fill(5)
 
 
 class TestSymbolSeries:
@@ -62,13 +91,25 @@ class TestSymbolSeries:
     def test_length(self) -> None:
         assert len(_series([0, 1, 0], 2)) == 3
 
-    def test_freezes_a_view_not_the_callers_array(self) -> None:
-        symbols = np.array([0, 1, 1])
+    @pytest.mark.parametrize("how", HANDED_OVER)
+    def test_copies_an_array_the_caller_can_still_write(self, how: str) -> None:
+        symbols, overwrite = _handed_over([0, 1, 0, 1, 0, 1], np.int64, how)
         series = SymbolSeries(symbols, 2)
-        assert np.shares_memory(series.symbols, symbols)
+        joint = JointSeries((series, series))
+        value, report = tdmi(series, 1), excess_tdmi(joint, 1)  # keeps the joint codes
+        overwrite()
+        assert symbols.tolist() == [5] * 6
         assert not series.symbols.flags.writeable
-        assert symbols.flags.writeable
-        symbols[0] = 1  # the caller may still write its own array
+        assert series.symbols.tolist() == [0, 1, 0, 1, 0, 1]
+        assert tdmi(series, 1) == value > 0.0
+        assert excess_tdmi(joint, 1) == report == excess_tdmi(JointSeries((series, series)), 1)
+
+    def test_keeps_an_array_no_one_can_write(self) -> None:
+        owned = np.array([0, 1, 1], dtype=np.int64)
+        owned.setflags(write=False)
+        from_bytes = np.frombuffer(owned.tobytes(), dtype=np.int64)
+        for symbols in (owned, owned[1:], from_bytes):
+            assert np.shares_memory(SymbolSeries(symbols, 2).symbols, symbols)
 
 
 class TestJointSeries:
@@ -162,13 +203,23 @@ class TestLagPairDistribution:
         with pytest.raises(ValueError):
             LagPairDistribution(np.eye(2) / 2, 0)
 
-    def test_freezes_a_view_not_the_callers_array(self) -> None:
+    @pytest.mark.parametrize("how", HANDED_OVER)
+    def test_copies_an_array_the_caller_can_still_write(self, how: str) -> None:
+        probabilities, overwrite = _handed_over([[0.5, 0.0], [0.0, 0.5]], np.float64, how)
+        dist = LagPairDistribution(probabilities, 1)
+        overwrite()
+        assert probabilities.tolist() == [[5.0, 5.0], [5.0, 5.0]]
+        assert not dist.probabilities.flags.writeable
+        assert dist.probabilities.tolist() == [[0.5, 0.0], [0.0, 0.5]]
+        assert mutual_information(dist) == 1.0
+
+    def test_keeps_an_array_no_one_can_write(self) -> None:
         probabilities = np.eye(2) / 2
+        probabilities.setflags(write=False)
         dist = LagPairDistribution(probabilities, 1)
         assert np.shares_memory(dist.probabilities, probabilities)
-        assert not dist.probabilities.flags.writeable
-        assert probabilities.flags.writeable
-        probabilities[0, 0] = 0.5  # the caller may still write its own array
+        table = build_lag_pairs(_series([0, 1, 0, 1, 1], 2), 1).probabilities
+        assert np.shares_memory(LagPairDistribution(table, 1).probabilities, table)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_probabilities(self, bad: float) -> None:
@@ -405,6 +456,33 @@ class TestResourceBounds:
             finally:
                 tracemalloc.stop()
             assert peak < 40 * 2**20, newline
+
+    def test_measured_arrays_are_not_copied(
+        self, tmp_path: Path, monkeypatch: pytest.MonkeyPatch
+    ) -> None:
+        # The parser's columns, the simulations' symbols and every code
+        # array reach their series read-only, so none is copied again.
+        path = tmp_path / "series.csv"
+        names = tuple(f"a{i + 1}" for i in range(5))
+        path.write_bytes(series_csv_text(SeriesFile(names, _binary_agents(5, 300, seed=1))))
+        copied: list[tuple[int, ...]] = []
+        frozen = info_measures._frozen
+
+        def spy(array: np.ndarray, dtype) -> np.ndarray:
+            result = frozen(array, dtype)
+            if array.dtype == dtype and not np.shares_memory(result, array):
+                copied.append(array.shape)
+            return result
+
+        monkeypatch.setattr(info_measures, "_frozen", spy)
+        logs = [
+            run_triadic(TriadicConfig(mode="b", steps=300, seed=2)),
+            run_matching_pennies(MatchingPenniesConfig(algorithm_id=1, steps=300)),
+        ]
+        for joint in (parse_series_csv(path).series, *(log.joint_series() for log in logs)):
+            for tau in (1, 2, 3):
+                excess_tdmi(joint, tau)
+        assert copied == []
 
     def test_measuring_loads_no_numpy_ma(self, tmp_path: Path) -> None:
         # Importing numpy.ma costs a CLI process 13-16 ms; neither arena's

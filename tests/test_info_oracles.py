@@ -147,3 +147,82 @@ class TestDenseApi:
         weights.flat[rng.integers(0, weights.size)] += 1.0
         dist = LagPairDistribution.from_probabilities(weights / weights.sum(), 1)
         assert mutual_information(dist) == reference.mutual_information(dist)
+
+
+# Cells per run of agents counted together: every agent alone, small
+# runs, and the default, under which an agent of 17 symbols or more is
+# alone and three binary agents are one run.
+GROUP_CELLS = st.sampled_from([1, 2**4, 2**6, info_measures._GROUP_CELLS])
+
+
+@st.composite
+def many_agents_and_lag(draw) -> tuple[JointSeries, int]:
+    """1-14 agents of 1-20 symbols, joint alphabet at most 2**16."""
+    length = draw(st.integers(2, 400))
+    components = []
+    joint_alphabet = 1
+    for _ in range(draw(st.integers(1, 14))):
+        alphabet = draw(st.integers(1, max(1, min(20, 2**16 // joint_alphabet))))
+        joint_alphabet *= alphabet
+        shape = draw(st.sampled_from(SHAPES))
+        seed = draw(st.integers(0, 2**32 - 1))
+        components.append(SymbolSeries(symbols(shape, alphabet, length, seed), alphabet))
+    tau = draw(st.integers(1, length - 1))
+    return JointSeries(tuple(components)), tau
+
+
+class TestPerAgentGroups:
+    """Per-agent TDMIs counted a run of agents at a time against ``tdmi``
+    on each component, compared with ``==``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=many_agents_and_lag(), cells=GROUP_CELLS)
+    def test_matches_tdmi_per_component(self, case: tuple[JointSeries, int], cells: int) -> None:
+        joint, tau = case
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(info_measures, "_GROUP_CELLS", cells)
+            report = excess_tdmi(joint, tau)
+        assert report.per_agent_tdmi == tuple(tdmi(c, tau) for c in joint.components)
+
+    @pytest.mark.parametrize(
+        ("alphabets", "runs"),
+        [
+            ((2, 2, 2), [3]),  # the triad: one run of every agent
+            ((2, 2), [2]),  # matching pennies
+            ((2,) * 12, [4, 4, 4]),  # the benchmark's wide series
+            ((17, 2, 2), [1, 2]),  # 289 cells: alone
+            ((3, 20, 1, 1), [1, 1, 2]),
+            ((16, 1, 2), [2, 1]),
+            ((5,), [1]),
+        ],
+    )
+    def test_runs_and_every_lag(self, alphabets: tuple[int, ...], runs: list[int]) -> None:
+        rng = np.random.default_rng(len(alphabets))
+        length = 60
+        joint = JointSeries(
+            tuple(SymbolSeries(rng.integers(0, k, length), k) for k in alphabets)
+        )
+        assert [len(run) for run, _ in joint._agent_groups()] == runs
+        for tau in range(1, length):
+            parts = excess_tdmi(joint, tau).per_agent_tdmi
+            assert parts == tuple(tdmi(c, tau) for c in joint.components)
+            assert parts == tuple(reference.tdmi(c, tau) for c in joint.components)
+
+    def test_codes_built_once_per_series(self, monkeypatch: pytest.MonkeyPatch) -> None:
+        built: list[int] = []
+        mixed_radix = info_measures._mixed_radix
+
+        def spy(components, dtype) -> np.ndarray:
+            built.append(len(components))
+            return mixed_radix(components, dtype)
+
+        monkeypatch.setattr(info_measures, "_mixed_radix", spy)
+        rng = np.random.default_rng(3)
+        joint = JointSeries(tuple(SymbolSeries(rng.integers(0, 2, 500), 2) for _ in range(10)))
+        for tau in range(1, 8):
+            excess_tdmi(joint, tau)
+        # The joint codes, then runs of four, four and two agents.
+        assert sorted(built) == [2, 4, 4, 10]
+        groups = joint._agent_groups()
+        assert joint._agent_groups() is groups
+        assert all(not codes.flags.writeable and codes.dtype == np.uint8 for _, codes in groups)

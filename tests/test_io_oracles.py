@@ -374,6 +374,16 @@ class TestFastPathMatchesReference:
             return symbol_block(rows, width)
 
         monkeypatch.setattr(citom_io, "_symbol_block", spy)
+        # Blocks that ``_digit_rows`` reads by their separators' positions
+        # (``np.ediff1d`` spans the tokens) rather than as one byte matrix.
+        ragged: list[int] = []
+        ediff1d = np.ediff1d
+
+        def ragged_spy(*args, **kwargs):
+            ragged[-1] += 1
+            return ediff1d(*args, **kwargs)
+
+        monkeypatch.setattr(np, "ediff1d", ragged_spy)
         path = tmp_path / "series.csv"
         # Rows sent line by line: none for digit rows, one block at most
         # for a block holding another kind of line.
@@ -387,5 +397,60 @@ class TestFastPathMatchesReference:
             path.write_bytes(variant.encode("utf-8"))
             passed.clear()
             expected = parse_outcome(reference.parse_series_csv, path)
+            ragged.append(0)
             assert parse_outcome(parse_series_csv, path) == expected
             assert least <= sum(passed) <= most
+        # Uniform blocks skip it: the mixed block and the one block holding
+        # another kind of line do not.
+        assert ragged == [0, 0, 1, 1, 1]
+
+
+# Replacements for one digit byte: the bytes just below and above the
+# ASCII digits, a space (which ``int`` strips), a letter and a sign.
+NON_DIGITS = (b"/", b":", b" ", b"x", b"-")
+
+
+def uniform_lines(digits: int, rows: int, width: int, seed: int) -> list[str]:
+    """``rows`` lines of ``width`` tokens of exactly ``digits`` digits."""
+    rng = np.random.default_rng(seed)
+    cells = rng.integers(0, 10, size=(rows, width, digits)).astype(str)
+    return [",".join("".join(token) for token in row) for row in cells.tolist()]
+
+
+class TestUniformWidthBlocks:
+    """Blocks whose tokens all have one width, read as one strided byte
+    matrix, against the line-by-line reference: the same columns or the
+    same error, word for word."""
+
+    ROWS = BLOCK_ROWS + 3  # two blocks, the second of three lines
+
+    def check(self, text: str | bytes, path: Path) -> None:
+        path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+        expected = parse_outcome(reference.parse_series_csv, path)
+        assert parse_outcome(parse_series_csv, path) == expected
+
+    @pytest.mark.parametrize("digits", range(1, 19))
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", ""])
+    def test_token_widths_and_line_ends(self, digits: int, ending: str, tmp_path: Path) -> None:
+        lines = uniform_lines(digits, self.ROWS, 3, seed=digits)
+        newline = ending or "\n"  # no ending: the last line is unterminated
+        self.check(newline.join(["a,b,c", *lines]) + ending, tmp_path / "series.csv")
+
+    @pytest.mark.parametrize("digits", [2, 3, 4, 18])
+    @pytest.mark.parametrize("row", [0, BLOCK_ROWS - 1, BLOCK_ROWS + 2])
+    def test_moved_separators(self, digits: int, row: int, tmp_path: Path) -> None:
+        # ``12,34`` beside ``1,234`` and ``123,4``: equal lengths,
+        # separators elsewhere.
+        lines = uniform_lines(digits, self.ROWS, 2, seed=row)
+        head, tail = lines[row].split(",")
+        lines[row] = f"{head[:-1]},{head[-1]}{tail}"
+        self.check("\n".join(["a,b", *lines]) + "\n", tmp_path / "series.csv")
+        lines[row] = f"{head}{tail[0]},{tail[1:]}"
+        self.check("\n".join(["a,b", *lines]) + "\n", tmp_path / "series.csv")
+
+    @pytest.mark.parametrize("digits", [1, 2, 18])
+    @pytest.mark.parametrize("non_digit", NON_DIGITS)
+    def test_one_non_digit_byte(self, digits: int, non_digit: bytes, tmp_path: Path) -> None:
+        lines = [line.encode() for line in uniform_lines(digits, self.ROWS, 3, seed=digits)]
+        lines[BLOCK_ROWS + 1] = lines[BLOCK_ROWS + 1][:-1] + non_digit
+        self.check(b"\n".join([b"a,b,c", *lines]) + b"\n", tmp_path / "series.csv")
