@@ -20,8 +20,8 @@ level's critical-tail list (``critical_tails``), and
 Long algorithm-2 sessions cost more than linear time: both statistics
 reject on over half the trials (108,838 of 200k at seed 0), and each
 walk steps integers of up to ``n`` bits.  On one Xeon core, 50k / 100k /
-200k trials took 0.25 / 0.70 / 2.25 s against 0.16 / 0.28 / 0.62 s for
-algorithm 1.
+200k trials take 0.15 / 0.44 / 1.5 s against 0.04 / 0.08 / 0.16 s for
+algorithm 1 (``run_matching_pennies``, seed 0, best of five).
 
 The orchestrated triad couples a signal-following orchestrator to two
 myopic workers who always play the unique strict pure equilibrium of the

@@ -86,7 +86,9 @@ def as_distribution(values: np.ndarray | Sequence[float], label: str) -> np.ndar
 
 
 def _frozen(array: np.ndarray, dtype) -> np.ndarray:
-    """``array`` as read-only ``dtype``, copied if it or what it views is writable."""
+    """``array`` as read-only ``dtype``, copied if it or what it views is writable.  A read-only
+    array that owns its memory is trusted, though numpy lets that owner turn writing back on;
+    only a copy closes that gap, and the parser's no-copy hand-over avoids that copy on purpose."""
     owner = array
     while isinstance(owner, np.ndarray) and not owner.flags.writeable:
         owner = owner.base

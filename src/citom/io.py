@@ -306,12 +306,12 @@ def _column_cells(column: np.ndarray) -> np.ndarray:
         table = np.array(list(texts), dtype=np.bytes_)
         return table[codes].view(np.uint8).reshape(len(column), table.itemsize)
     sign = int(column.dtype.kind == "i" and column.min() < 0)
-    magnitude = column.astype(np.uint64)
-    if sign:  # as uint64, 0 - v is |v|, the int64 minimum's included
-        magnitude = np.where(column < 0, 0 - magnitude, magnitude)
+    magnitude = column.astype(np.int64 if sign else np.uint64, copy=False)
+    if sign:  # widened first (np.abs of int8 -128 is -128); the int64 minimum wraps to 2**63
+        magnitude = np.abs(magnitude).view(np.uint64)
     cells = np.zeros((len(column), sign + len(str(magnitude.max()))), dtype=np.uint8)
     if sign:
-        cells[:, 0] = (column < 0) * ord("-")
+        np.multiply(column < 0, ord("-"), out=cells[:, 0], dtype=np.uint8)
     for place in range(cells.shape[1] - 1, sign - 1, -1):  # units first
         tens = magnitude // 10 if place > sign else 0
         digit = magnitude - tens * 10 + ord("0")

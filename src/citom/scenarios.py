@@ -256,41 +256,43 @@ def run_matching_pennies(config: MatchingPenniesConfig) -> MatchingPenniesLog:
     in locals.  The predictor decides by ``response_from_counts``, as its
     ``response_probability`` does, and the learner's softmax and delta
     rule are its methods' float expressions, so the episode is bit for
-    bit the one the methods would play.
+    bit the one the methods would play.  Algorithm 0 keeps no count
+    table, algorithm 1 the choice table and algorithm 2 both tables.
     """
     rng = np.random.default_rng(config.seed)
     algorithm_id = config.algorithm_id
     alpha = config.significance_level
     learning_rate = config.learning_rate
     beta = config.inverse_temperature
+    steps = config.steps
     context = MatchingPenniesPredictor.context_length
+    # Counts are credited from trial ``context``, once a full context of prior
+    # trials exists, and read from the trial after; algorithm 0 does neither.
+    credit_from, decide_from = (context, context + 1) if algorithm_id else (steps, steps)
     # Count tables indexed by rolling context codes, low bits the most
     # recent step; entries are [action-1 count, total count, tail state].
-    # ``choice`` and ``pair`` are the entries of the contexts in force.
-    choice_table = new_count_table(context)
-    pair_table = new_count_table(2 * context)
+    # ``choice`` and ``pair`` are the entries in force; ``[None]`` stands in for a table not kept.
+    choice_table = new_count_table(context) if algorithm_id else [None]
+    pair_table = new_count_table(2 * context) if algorithm_id == 2 else [None]
     choice_mask = len(choice_table) - 1
     pair_mask = len(pair_table) - 1
     choice_ctx = pair_ctx = 0
     choice, pair = choice_table[0], pair_table[0]
-    # Trials the predictor has observed.  Algorithm 0 observes none: it
-    # plays 50:50 throughout and its output never reads the tables.
-    trials = 0
-    critical = critical_tails(alpha, 0)
+    critical, covered = [], 0  # the critical-tail list and the totals it indexes
     value0 = value1 = DeltaRuleLearner.initial_value
     # Each agent draws one uniform per trial and plays 1 below its
     # probability of action 1, computer first: uniform 2t is the
     # computer's and 2t+1 the learner's, all from one batched draw.  Byte
     # arrays take the actions, converted once after the loop.
-    steps = config.steps
     draws = iter(rng.random(2 * steps).tolist())
     monkey_choices = bytearray(steps)
     computer_choices = bytearray(steps)
     for t, computer_draw, monkey_draw in zip(range(steps), draws, draws):
         response = 0.5
-        if trials > context:
-            if choice[1] >= len(critical):
+        if t >= decide_from:
+            if choice[1] >= covered:
                 critical = critical_tails(alpha, choice[1])
+                covered = len(critical)
             response = response_from_counts(algorithm_id, critical, choice, pair)
         c = 1 if computer_draw < response else 0
         gap = beta * (value1 - value0)
@@ -300,17 +302,17 @@ def run_matching_pennies(config: MatchingPenniesConfig) -> MatchingPenniesLog:
             m = 1 if monkey_draw < exp(gap) else 0
         reward = 1 if m == c else 0
         if algorithm_id:
-            # Counts are credited once a full context of prior trials exists.
-            if trials >= context:
+            if t >= credit_from:
                 choice[0] += m
                 choice[1] += 1
-                pair[0] += m
-                pair[1] += 1
             choice_ctx = ((choice_ctx << 1) | m) & choice_mask
-            pair_ctx = ((pair_ctx << 2) | (m << 1) | reward) & pair_mask
             choice = choice_table[choice_ctx]
-            pair = pair_table[pair_ctx]
-            trials += 1
+            if algorithm_id == 2:
+                if t >= credit_from:
+                    pair[0] += m
+                    pair[1] += 1
+                pair_ctx = ((pair_ctx << 2) | (m << 1) | reward) & pair_mask
+                pair = pair_table[pair_ctx]
         if m:
             value1 += learning_rate * (reward - value1)
         else:

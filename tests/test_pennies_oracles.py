@@ -88,6 +88,24 @@ class TestEpisodes:
         )
         assert_same_episode(config)
 
+    # Episodes that end inside or just past the warm-up: counts from trial
+    # 4, decisions from trial 5.  At seeds 45 and 74 the learner opens with
+    # nine and seven 0s, so context 0000 recurs from trial 4 on; at seed 45
+    # and alpha 0.2 its count of 0 of 4 rejects at trial 8.  A count
+    # credited one trial early or late changes one of these episodes.
+    @pytest.mark.parametrize("alpha", [0.05, 0.2])
+    @pytest.mark.parametrize("seed", [45, 74])
+    @pytest.mark.parametrize("algorithm_id", [0, 1, 2])
+    @pytest.mark.parametrize("steps", range(2, 13))
+    def test_warm_up_matches_reference(
+        self, steps: int, algorithm_id: int, seed: int, alpha: float
+    ) -> None:
+        assert_same_episode(
+            MatchingPenniesConfig(
+                algorithm_id, steps=steps, seed=seed, taus=(1,), significance_level=alpha
+            )
+        )
+
     @pytest.mark.parametrize(
         "algorithm_id, seed, alpha",
         [(1, 2024, 0.05), (2, 7, 0.05), (1, 2025, 0.01), (2, 8, 0.2)],

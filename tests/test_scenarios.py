@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import triad_reference as reference
-from citom import agents
+from citom import agents, scenarios
 from citom.game_core import COOPERATE, DEFECT, triadic_utilities
 from citom.scenarios import (
     MatchingPenniesConfig,
@@ -270,6 +270,24 @@ class TestMatchingPennies:
         )
         assert 0.47 < float(log.monkey.mean()) < 0.53
         assert 0.47 < float(log.computer.mean()) < 0.53
+
+    def test_each_algorithm_allocates_only_the_tables_it_reads(
+        self, monkeypatch: pytest.MonkeyPatch
+    ) -> None:
+        tables: list[int] = []
+        new_count_table = agents.new_count_table
+
+        def counting(context_bits: int) -> list[list]:
+            tables.append(context_bits)
+            return new_count_table(context_bits)
+
+        # ``scenarios`` holds its own binding of the name.
+        monkeypatch.setattr(agents, "new_count_table", counting)
+        monkeypatch.setattr(scenarios, "new_count_table", counting)
+        for algorithm_id, expected in [(0, []), (1, [4]), (2, [4, 8])]:
+            tables.clear()
+            run_matching_pennies(MatchingPenniesConfig(algorithm_id=algorithm_id, steps=200))
+            assert tables == expected, algorithm_id
 
     def test_joint_series_shape(self) -> None:
         log = run_matching_pennies(MatchingPenniesConfig(algorithm_id=1, steps=50))
