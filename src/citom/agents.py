@@ -220,13 +220,15 @@ class MatchingPenniesPredictor:
         self._trials = 0
         # Count tables indexed by rolling context codes: low bits hold the
         # most recent step.  Entries are [action-1 count, total count, tail
-        # state], the state as ``walk_pvalue`` takes it.
-        self._choice_table = new_count_table(self.context_length)
-        self._pair_table = new_count_table(2 * self.context_length)
+        # state], the state as ``walk_pvalue`` takes it.  Only the tables the
+        # algorithm reads are kept; ``[None]`` stands in for the others.
+        context, algorithm_id = self.context_length, self.algorithm_id
+        self._choice_table = new_count_table(context) if algorithm_id else [None]
+        self._pair_table = new_count_table(2 * context) if algorithm_id == 2 else [None]
         self._choice_ctx = 0
         self._pair_ctx = 0
-        self._choice_mask = (1 << self.context_length) - 1
-        self._pair_mask = (1 << (2 * self.context_length)) - 1
+        self._choice_mask = len(self._choice_table) - 1
+        self._pair_mask = len(self._pair_table) - 1
 
     def response_probability(self) -> float:
         """Probability of playing action 1 at the current history."""
@@ -246,13 +248,14 @@ class MatchingPenniesPredictor:
         """
         if opponent_choice not in (0, 1) or opponent_reward not in (0, 1):
             raise ValueError("choice and reward must be binary")
-        if self._trials >= self.context_length:
+        if self._trials >= self.context_length and self.algorithm_id:
             entry = self._choice_table[self._choice_ctx]
             entry[0] += opponent_choice
             entry[1] += 1
-            entry = self._pair_table[self._pair_ctx]
-            entry[0] += opponent_choice
-            entry[1] += 1
+            if self.algorithm_id == 2:
+                entry = self._pair_table[self._pair_ctx]
+                entry[0] += opponent_choice
+                entry[1] += 1
         self._choice_ctx = ((self._choice_ctx << 1) | opponent_choice) & self._choice_mask
         self._pair_ctx = (
             (self._pair_ctx << 2) | (opponent_choice << 1) | opponent_reward

@@ -71,6 +71,7 @@ from .tom_policy import (
     induced_message_policy,
     message_expected_utilities,
     pikl_best_response,
+    select_message,
     tom_divergence,
     unified_objective,
 )
@@ -307,7 +308,7 @@ def run_pikl_demo(config: dict, mode: ObjectiveMode) -> dict:
     utilities = message_expected_utilities(
         space, channel, conditional, state, speaker_utility, belief
     )
-    selected = int(np.argmax(utilities))
+    selected = select_message(space, channel, conditional, state, speaker_utility, belief)
     induced = induced_message_policy(space, channel, conditional)
 
     params = ObjectiveParams(

@@ -20,22 +20,19 @@ less predictable than its parts) and is reported, never clamped.
 
 ``tdmi`` and ``excess_tdmi`` count only the occupied cells of the
 ``K x K`` lag-pair table, where ``K`` is the (joint) alphabet size, so
-they use memory proportional to ``T + K`` plus one cache-sized chunk of
-2**16 table cells, never ``K * K``.  A ``JointSeries`` keeps its codes
-for all lags: the joint's, and those of each run of agents whose table
-``excess_tdmi`` counts once, summing out the others for each member.
-``mutual_information`` takes a dense table's nonzero cells through the
-same MI function.  All are bit-identical to the dense reference in
-``tests/info_reference.py``: counts are exact integers, probabilities
-the same quotients, and each marginal adds the same floats in the same
-order.  The present (row) marginal scatters a chunk of occupied rows at
-a time into a dense ``K``-wide buffer and sums it with ``sum(axis=1)``.
-The lagged (column) marginal is ``np.bincount`` over the cells' columns
-weighted by their probabilities, which adds each column's cells in row
-order, as the dense ``sum(axis=0)`` does.  Marginals from exact integer
-counts would be closer to the truth but would change the last bit of
-many results, and with it the bytes of ``measures.json``.
-Counting requires ``K * K < 2**63``.
+they use memory proportional to ``T + K``, never ``K * K``.  A
+``JointSeries`` keeps its codes for all lags: the joint's, and those of
+each run of agents whose table ``excess_tdmi`` counts once, summing out
+the others for each member.  ``mutual_information`` takes a dense
+table's nonzero cells through the same MI function.  All are
+bit-identical to the dense reference in ``tests/info_reference.py``:
+counts are exact integers, probabilities the same quotients, and each
+marginal adds the same floats in the same order: a row's occupied cells
+in numpy's 8 lanes per block of 128 columns and up its pairwise tree (an
+empty slot adds ``+0.0``, which changes no sum), a column's with
+``np.bincount`` in row order, as the dense ``sum(axis=0)`` does.  Exact
+integer marginals would change the last bit of many results, and the
+bytes of ``measures.json``.  Counting requires ``K * K < 2**63``.
 """
 
 from __future__ import annotations
@@ -59,8 +56,12 @@ __all__ = [
 # Codes and squared alphabets must stay below this to fit in int64.
 _INT64_LIMIT = 2**63
 
-# Table cells in one chunk of the row-sum buffer (see ``_mutual_information``).
+# Lane slots in one chunk of the row sums (see ``_present_marginal``).
 _CHUNK_CELLS = 1 << 16
+
+# numpy's float64 ``pairwise_sum`` (numpy/_core/src/umath/loops_utils.h.src)
+# adds in 8 lanes and halves any run of more than 128 values.
+_LANES, _BLOCK = 8, 128
 
 # Most cells in the lag-pair table of a run of agents that ``excess_tdmi``
 # counts together, so that a pair code fits in one byte.
@@ -309,43 +310,66 @@ def _occupied_cells(
         table = np.bincount(codes, minlength=k * k)
         cells = np.flatnonzero(table)
         counts = table[cells]
-    else:
-        cells, counts = np.unique(codes, return_counts=True)
+    else:  # sorted in the narrowest type of every code (uint32 if K * K <= 2**32): faster
+        cells, counts = np.unique(codes.astype(np.min_scalar_type(k * k - 1)), return_counts=True)
     probs = counts / codes.size
-    rows, cols = np.divmod(cells, k)
+    rows, cols = np.divmod(cells.astype(np.int64, copy=False), k)
     return k, rows, cols, probs
 
 
-def _mutual_information(
-    k: int, rows: np.ndarray, cols: np.ndarray, probs: np.ndarray
-) -> float:
+def _present_marginal(k: int, rows: np.ndarray, cols: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Each cell's row sum, bit for bit the dense ``K``-wide row's ``sum(axis=1)``.
+
+    numpy's ``pairwise_sum`` splits a row at multiples of ``_LANES`` into
+    blocks of at most ``_BLOCK`` columns, adds columns ``j, j + 8, ...`` of
+    a block in lane ``j``, combines lanes as ``((r0+r1)+(r2+r3))+((r4+r5)+
+    (r6+r7))``, adds the row's last ``K % 8`` columns in order, and adds the
+    blocks up the halving tree; a block that splits no further keeps its
+    columns in its left child, a leaf of one complete tree.  A chunk of rows
+    is ``bincount`` into slots ``leaf * 8 + lane`` in row-major order, paired
+    down to a value per leaf, given its tail (``np.add.at``), and paired down
+    to a value per row; an empty slot adds ``+0.0``, which changes no sum.
+    """
+    if k < _LANES:  # a row of fewer columns is added in order from 0, as ``bincount`` does
+        return np.bincount(rows, probs)[rows]
+    bounds = np.concatenate(([0], np.flatnonzero(rows[1:] != rows[:-1]) + 1, [rows.size]))
+    n_rows = bounds.size - 1
+    ranks = np.repeat(np.arange(n_rows), np.diff(bounds))
+    leaves = np.array([k])  # columns per leaf, left to right
+    while leaves.max() > _BLOCK:
+        half = np.where(leaves > _BLOCK, leaves // 2 - leaves // 2 % _LANES, leaves)
+        leaves = np.column_stack((half, leaves - half)).ravel()
+    slots = _LANES * leaves.size  # per row
+    first_slots = np.repeat(np.arange(0, slots, _LANES), -(-leaves // _LANES))  # per octet
+    positions = ranks * slots + first_slots[cols // _LANES] + (cols & (_LANES - 1))
+    body = k - k % _LANES  # columns added in lanes; the rest are the tail
+    weights = np.where(cols < body, probs, 0.0) if body < k else probs
+    per_chunk = min(max(1, _CHUNK_CELLS // slots), n_rows)  # rows
+    row_sums = np.empty(n_rows)
+    for first in range(0, n_rows, per_chunk):
+        last = min(first + per_chunk, n_rows)
+        lo, hi = bounds[first], bounds[last]
+        cells = positions[lo:hi] - first * slots
+        sums = np.bincount(cells, weights[lo:hi], minlength=(last - first) * slots)
+        while sums.size > (last - first) * leaves.size:
+            sums = sums[0::2] + sums[1::2]
+        tail = lo + np.flatnonzero(cols[lo:hi] >= body)
+        np.add.at(sums, positions[tail] // _LANES - first * leaves.size, probs[tail])
+        while sums.size > last - first:
+            sums = sums[0::2] + sums[1::2]
+        row_sums[first:last] = sums
+    return row_sums[ranks]
+
+
+def _mutual_information(k: int, rows: np.ndarray, cols: np.ndarray, probs: np.ndarray) -> float:
     """Plug-in MI in bits from the occupied cells of a ``K x K`` table.
 
     ``rows``, ``cols`` and ``probs`` give each occupied cell's row
     (present symbol), column (lagged symbol) and probability, in
-    row-major order.  The occupied rows are scattered a chunk at a time,
-    by flat positions computed once per cell, into one dense ``K``-wide
-    buffer, so every row is summed by ``sum(axis=1)`` over the same ``K``
-    values as in the dense table.  See ``mutual_information`` for the
-    clamp at 0.
+    row-major order.  Each marginal adds the dense table's floats in its
+    order.  See ``mutual_information`` for the clamp at 0.
     """
-    new_row = np.empty(rows.size, dtype=bool)
-    new_row[0] = True
-    np.not_equal(rows[1:], rows[:-1], out=new_row[1:])
-    bounds = np.concatenate((np.flatnonzero(new_row), [rows.size]))
-    ranks = np.cumsum(new_row) - 1
-    n_rows = bounds.size - 1
-    per_chunk = min(max(1, _CHUNK_CELLS // k), n_rows)
-    positions = ranks % per_chunk * k + cols  # in the flat buffer of the cell's chunk
-    buffer = np.zeros(per_chunk * k)
-    row_sums = np.empty(n_rows)
-    for first in range(0, n_rows, per_chunk):
-        last = min(first + per_chunk, n_rows)
-        cells = positions[bounds[first] : bounds[last]]
-        buffer[cells] = probs[bounds[first] : bounds[last]]
-        buffer[: (last - first) * k].reshape(-1, k).sum(axis=1, out=row_sums[first:last])
-        buffer[cells] = 0.0
-    product = row_sums[ranks]
+    product = _present_marginal(k, rows, cols, probs)
     product *= np.bincount(cols, weights=probs, minlength=k)[cols]
     mi = float((probs * np.log2(probs / product)).sum())
     return max(mi, 0.0)

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from scipy.stats import binomtest
 
+from citom import agents
 from citom.agents import (
     DeltaRuleLearner,
     MatchingPenniesPredictor,
@@ -195,6 +196,27 @@ class TestMatchingPenniesPredictor:
         rate2 = computer_win_rate(2)
         assert 0.45 < rate1 < 0.55
         assert rate2 > 0.9
+
+    def test_each_algorithm_keeps_only_the_tables_it_reads(
+        self, monkeypatch: pytest.MonkeyPatch
+    ) -> None:
+        tables: list[int] = []
+        new_count_table = agents.new_count_table
+
+        def counting(context_bits: int) -> list[list]:
+            tables.append(context_bits)
+            return new_count_table(context_bits)
+
+        monkeypatch.setattr(agents, "new_count_table", counting)
+        for algorithm_id, expected in [(0, []), (1, [4]), (2, [4, 8])]:
+            tables.clear()
+            pred = MatchingPenniesPredictor(algorithm_id)
+            assert tables == expected, algorithm_id
+            for _ in range(10):
+                pred.observe(1, 0)
+            # Trials 4-9 are credited, each table to one context entry.
+            credited = [e[:2] for e in pred._choice_table + pred._pair_table if e and e[1]]
+            assert credited == [[6, 6]] * len(expected)
 
     def test_validation(self) -> None:
         with pytest.raises(ValueError):

@@ -2,9 +2,11 @@
 
 ``info_reference`` holds the dense ``K x K`` lag-pair table and the MI
 taken over it.  ``tdmi`` and ``excess_tdmi`` count occupied cells only,
-through either counting branch and any chunk size of the marginal
-buffer, and must still return the reference's floats bit for bit
-(``==``): ``measures.json`` writes them with ``repr``.
+through either counting branch, and sum each row marginal over its
+occupied lane slots, any number of rows a chunk, as numpy's pairwise
+summation of the dense row would.  They must still return the
+reference's floats bit for bit (``==``): ``measures.json`` writes them
+with ``repr``.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from citom.info_measures import (
     tdmi,
 )
 
-# Cells per chunk of the marginal buffer: one cell (one row per chunk),
+# Lane slots per chunk of the row sums: one slot (one row per chunk),
 # sizes that leave partial chunks, and the default.
 CHUNKS = st.sampled_from([1, 7, 64, info_measures._CHUNK_CELLS])
 
@@ -147,6 +149,35 @@ class TestDenseApi:
         weights.flat[rng.integers(0, weights.size)] += 1.0
         dist = LagPairDistribution.from_probabilities(weights / weights.sum(), 1)
         assert mutual_information(dist) == reference.mutual_information(dist)
+
+
+class TestRowSums:
+    """Each cell's row sum against the dense row's ``sum(axis=1)``, bit for bit.
+
+    numpy's float64 ``pairwise_sum`` adds fewer than 8 values in order, 8 to
+    128 in 8 lanes and then the last ``n % 8`` in order, and halves a longer
+    row at a multiple of 8.  The widths sit on each side of those edges, so
+    a numpy release that changes the blocking fails here, named by width.
+    """
+
+    @pytest.mark.parametrize(
+        "width",
+        [1, 2, 7, 8, 9, 15, 16, 17, 127, 128, 129, 136, 255, 256, 257, 1000, 4096, 5000, 2**16 + 3],
+    )
+    @pytest.mark.parametrize("chunk", [1, 7, info_measures._CHUNK_CELLS])
+    def test_matches_dense_rows(
+        self, width: int, chunk: int, monkeypatch: pytest.MonkeyPatch
+    ) -> None:
+        rng = np.random.default_rng(width)
+        dense = np.zeros((7, width))
+        for row, occupancy in zip(dense, [1.0, 0.5, 0.1, 3 / width, 1 / width, 0.0, rng.random()]):
+            occupied = rng.random(width) < occupancy
+            row[occupied] = rng.random(occupied.sum()) * 10.0 ** rng.uniform(-12, 0, occupied.sum())
+        dense[5, -1] = 0.25  # a row with only its last column
+        rows, cols = np.nonzero(dense)
+        monkeypatch.setattr(info_measures, "_CHUNK_CELLS", chunk)
+        got = info_measures._present_marginal(width, rows, cols, dense[rows, cols])
+        assert got.tobytes() == dense.sum(axis=1)[rows].tobytes()
 
 
 # Cells per run of agents counted together: every agent alone, small
