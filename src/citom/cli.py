@@ -68,10 +68,10 @@ from .tom_policy import (
     Policy,
     anchor_objective,
     bayes_update,
+    best_message,
     induced_message_policy,
     message_expected_utilities,
     pikl_best_response,
-    select_message,
     tom_divergence,
     unified_objective,
 )
@@ -305,11 +305,11 @@ def run_pikl_demo(config: dict, mode: ObjectiveMode) -> dict:
     belief = BeliefState(_config_value(config, "receiver_type_belief"))
     speaker_utility = _config_value(config, "speaker_utility")
 
-    utilities = message_expected_utilities(
-        space, channel, conditional, state, speaker_utility, belief
-    )
-    selected = select_message(space, channel, conditional, state, speaker_utility, belief)
     induced = induced_message_policy(space, channel, conditional)
+    utilities = message_expected_utilities(
+        space, channel, conditional, state, speaker_utility, belief, induced
+    )
+    selected = best_message(utilities)
 
     params = ObjectiveParams(
         q_values=_config_value(config, "q_values"),

@@ -20,11 +20,14 @@ less predictable than its parts) and is reported, never clamped.
 
 ``tdmi`` and ``excess_tdmi`` count only the occupied cells of the
 ``K x K`` lag-pair table, where ``K`` is the (joint) alphabet size, so
-they use memory proportional to ``T + K``, never ``K * K``.  A
-``JointSeries`` keeps its codes for all lags: the joint's, and those of
-each run of agents whose table ``excess_tdmi`` counts once, summing out
-the others for each member.  ``mutual_information`` takes a dense
-table's nonzero cells through the same MI function.  All are
+they use memory proportional to ``T + K``, never ``K * K``.  A lag sorts
+its pair codes in place, in one array of the narrowest unsigned type, or
+counts them if the table has no more cells than pairs; it then holds an
+int64 row, column and probability per occupied cell.  A ``JointSeries``
+keeps its codes for all lags: the joint's, and those of each run of
+agents whose table ``excess_tdmi`` counts once, summing out the others
+for each member.  ``mutual_information`` takes a dense table's nonzero
+cells through the same MI function.  All are
 bit-identical to the dense reference in ``tests/info_reference.py``:
 counts are exact integers, probabilities the same quotients, and each
 marginal adds the same floats in the same order: a row's occupied cells
@@ -290,29 +293,35 @@ def _occupied_cells(
     """Occupied cells of the (present, lagged) table, in row-major order.
 
     Returns ``(k, rows, cols, probs)``: the alphabet size and, per
-    occupied cell, its row (present symbol), column (lagged symbol) and
-    probability ``count / (T - tau)``.
+    occupied cell, its int64 row (present symbol) and column (lagged
+    symbol) and probability ``count / (T - tau)``.  Sorted codes give the
+    cells and counts where a run of equal codes starts, found by one mask.
     """
     if isinstance(series, JointSeries):
         series = series.encode()
-    length = len(series)
-    if not 1 <= tau < length:
-        raise ValueError(f"tau must satisfy 1 <= tau < {length}, got {tau}")
+    if not 1 <= tau < len(series):
+        raise ValueError(f"tau must satisfy 1 <= tau < {len(series)}, got {tau}")
     k = series.alphabet_size
     if k * k >= _INT64_LIMIT:
         raise ValueError(
             f"alphabet of {k} symbols is too large to count lag pairs: "
             f"its square must be < 2**63"
         )
-    codes = series.symbols[tau:] * k + series.symbols[:-tau]
-    # A table with no more cells than pairs is cheaper to count than to sort.
-    if k * k <= codes.size:
+    symbols, pairs = series.symbols, len(series) - tau
+    dtype = np.int64 if k * k <= pairs else np.min_scalar_type(k * k - 1)  # narrowest to sort
+    codes = np.multiply(symbols[tau:], k, dtype=dtype, casting="unsafe")
+    np.add(codes, symbols[:-tau], out=codes, dtype=dtype, casting="unsafe")
+    if k * k <= pairs:  # a table no bigger than the pairs is cheaper to count than to sort
         table = np.bincount(codes, minlength=k * k)
         cells = np.flatnonzero(table)
-        counts = table[cells]
-    else:  # sorted in the narrowest type of every code (uint32 if K * K <= 2**32): faster
-        cells, counts = np.unique(codes.astype(np.min_scalar_type(k * k - 1)), return_counts=True)
-    probs = counts / codes.size
+        probs = table[cells] / pairs
+    else:
+        codes.sort()
+        starts = np.ones(pairs, dtype=bool)
+        np.not_equal(codes[1:], codes[:-1], out=starts[1:])
+        starts = np.flatnonzero(starts)
+        cells, probs = codes[starts], np.diff(starts, append=pairs) / pairs
+        del codes, starts  # before the int64 rows and columns
     rows, cols = np.divmod(cells.astype(np.int64, copy=False), k)
     return k, rows, cols, probs
 
@@ -333,15 +342,16 @@ def _present_marginal(k: int, rows: np.ndarray, cols: np.ndarray, probs: np.ndar
     if k < _LANES:  # a row of fewer columns is added in order from 0, as ``bincount`` does
         return np.bincount(rows, probs)[rows]
     bounds = np.concatenate(([0], np.flatnonzero(rows[1:] != rows[:-1]) + 1, [rows.size]))
-    n_rows = bounds.size - 1
-    ranks = np.repeat(np.arange(n_rows), np.diff(bounds))
+    n_rows, widths = bounds.size - 1, np.diff(bounds)  # cells per occupied row
     leaves = np.array([k])  # columns per leaf, left to right
     while leaves.max() > _BLOCK:
         half = np.where(leaves > _BLOCK, leaves // 2 - leaves // 2 % _LANES, leaves)
         leaves = np.column_stack((half, leaves - half)).ravel()
     slots = _LANES * leaves.size  # per row
     first_slots = np.repeat(np.arange(0, slots, _LANES), -(-leaves // _LANES))  # per octet
-    positions = ranks * slots + first_slots[cols // _LANES] + (cols & (_LANES - 1))
+    positions = first_slots[cols // _LANES]  # in place, so that one temporary lives at a time
+    positions += cols & (_LANES - 1)
+    positions += np.repeat(np.arange(0, n_rows * slots, slots), widths)
     body = k - k % _LANES  # columns added in lanes; the rest are the tail
     weights = np.where(cols < body, probs, 0.0) if body < k else probs
     per_chunk = min(max(1, _CHUNK_CELLS // slots), n_rows)  # rows
@@ -358,7 +368,7 @@ def _present_marginal(k: int, rows: np.ndarray, cols: np.ndarray, probs: np.ndar
         while sums.size > last - first:
             sums = sums[0::2] + sums[1::2]
         row_sums[first:last] = sums
-    return row_sums[ranks]
+    return np.repeat(row_sums, widths)
 
 
 def _mutual_information(k: int, rows: np.ndarray, cols: np.ndarray, probs: np.ndarray) -> float:
@@ -371,7 +381,8 @@ def _mutual_information(k: int, rows: np.ndarray, cols: np.ndarray, probs: np.nd
     """
     product = _present_marginal(k, rows, cols, probs)
     product *= np.bincount(cols, weights=probs, minlength=k)[cols]
-    mi = float((probs * np.log2(probs / product)).sum())
+    np.log2(np.divide(probs, product, out=product), out=product)
+    mi = float(np.multiply(product, probs, out=product).sum())
     return max(mi, 0.0)
 
 

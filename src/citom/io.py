@@ -194,11 +194,12 @@ def _convert_lines(lines: list[bytes], line_no: int, width: int) -> np.ndarray:
     return _symbol_block(rows, width)
 
 
-def _digit_rows(chunk: np.ndarray, lines: int, width: int) -> np.ndarray | None:
-    """``chunk``'s ``lines`` lines as a ``(lines, width)`` int64 array if
-    each is ``width`` tokens of 1 to 18 ASCII digits joined by ``,``, else
-    ``None``.  ``chunk`` holds its last line's line feed, if the file has one.
+def _digit_rows(chunk: np.ndarray, out: np.ndarray) -> bool:
+    """Write ``chunk``'s lines into the ``(lines, width)`` int64 ``out`` if each
+    is ``width`` tokens of 1 to 18 ASCII digits joined by ``,``, and say whether
+    it did.  ``chunk`` holds its last line's line feed, if the file has one.
     Tokens of one width are read as a ``(lines, width, span)`` byte matrix."""
+    lines, width = out.shape
     row_ends = (b"," * (width - 1) + b"\n") * lines
     separators = np.frombuffer(row_ends, dtype=np.uint8)
     if chunk[-1] != ord("\n"):  # the file's unterminated last line
@@ -208,10 +209,11 @@ def _digit_rows(chunk: np.ndarray, lines: int, width: int) -> np.ndarray | None:
         cells = chunk.reshape(lines, width, span)
         digits = cells[:, :, :-1] - np.uint8(ord("0"))
         if digits.max() <= 9 and np.array_equal(cells[:, :, -1].ravel(), separators):
-            values = digits[:, :, 0].astype(np.int64)
+            values = digits[:, :, 0]  # uint8 until its first product
             for place in range(1, span - 1):
-                values = values * 10 + digits[:, :, place]
-            return values
+                values = np.multiply(values, 10, dtype=np.int64) + digits[:, :, place]
+            np.copyto(out, values)
+            return True
     digits = chunk - np.uint8(ord("0"))
     ends = np.flatnonzero(digits > 9)
     spans = np.ediff1d(ends, to_begin=ends[0] + 1)  # each token and its separator
@@ -222,12 +224,13 @@ def _digit_rows(chunk: np.ndarray, lines: int, width: int) -> np.ndarray | None:
         or not np.array_equal(chunk[ends], separators)
         or not 1 <= shortest <= longest <= 18
     ):
-        return None
+        return False
     values = np.zeros(ends.size, dtype=np.int64)
     for place in range(longest, 0, -1):
         live = spans > place if place > shortest else slice(None)  # a place every token has
         values[live] = values[live] * 10 + digits[ends[live] - place]
-    return values.reshape(lines, width)
+    np.copyto(out, values.reshape(lines, width))
+    return True
 
 
 def _read_body(body: np.ndarray, width: int, line_no: int) -> np.ndarray:
@@ -242,13 +245,12 @@ def _read_body(body: np.ndarray, width: int, line_no: int) -> np.ndarray:
     for first in range(0, stops.size, BLOCK_ROWS):
         block_stops = stops[first : first + BLOCK_ROWS]
         chunk = body[start : block_stops[-1] + 1]  # with its line feed, if any
-        block = _digit_rows(chunk, block_stops.size, width)
-        if block is None:
-            block = _convert_lines(chunk.tobytes().splitlines(), line_no + first, width)
-        columns[:, filled : filled + len(block)] = block.T
-        filled += len(block)
+        rows = columns[:, filled : filled + block_stops.size].T  # where this block goes
+        if not _digit_rows(chunk, rows):
+            rows = _convert_lines(chunk.tobytes().splitlines(), line_no + first, width)
+            columns[:, filled : filled + len(rows)] = rows.T
+        filled += len(rows)
         start = block_stops[-1] + 1
-        del block  # before the next block's temporaries
     columns.setflags(write=False)  # so each series keeps its row uncopied
     return columns[:, :filled]
 

@@ -45,6 +45,7 @@ __all__ = [
     "tom_policy_mix",
     "induced_message_policy",
     "message_expected_utilities",
+    "best_message",
     "select_message",
     "kl_divergence",
     "tom_divergence",
@@ -225,6 +226,7 @@ def message_expected_utilities(
     state: int,
     speaker_utility: np.ndarray,
     receiver_type_belief: BeliefState,
+    reactions: Policy | None = None,
 ) -> np.ndarray:
     """Speaker's expected utility of each candidate message.
 
@@ -232,7 +234,8 @@ def message_expected_utilities(
     posterior-mixed action distribution at ``state``.  The utility table
     is indexed ``speaker_utility[receiver_type, action]`` and the
     speaker's belief over receiver types weights the rows, so
-    ``EU(m) = sum_j b(j) sum_a pi(a | state, m) U[j, a]``.
+    ``EU(m) = sum_j b(j) sum_a pi(a | state, m) U[j, a]``.  ``reactions``, if
+    given, must be ``induced_message_policy(space, channel, conditional)``.
     """
     utility = np.asarray(speaker_utility, dtype=np.float64)
     if utility.ndim != 2:
@@ -244,8 +247,14 @@ def message_expected_utilities(
     if utility.shape[1] != conditional.n_actions:
         raise ValueError("speaker_utility columns must match the action count")
     weighted_utility = receiver_type_belief.posterior @ utility
-    reactions = induced_message_policy(space, channel, conditional)
+    if reactions is None:
+        reactions = induced_message_policy(space, channel, conditional)
     return reactions.table[state] @ weighted_utility
+
+
+def best_message(utilities: np.ndarray) -> int:
+    """The message of highest expected utility; ties resolve to the lowest index."""
+    return int(np.argmax(utilities))
 
 
 def select_message(
@@ -256,11 +265,11 @@ def select_message(
     speaker_utility: np.ndarray,
     receiver_type_belief: BeliefState,
 ) -> int:
-    """Utility-maximising message; ties resolve to the lowest index."""
+    """Utility-maximising message; ties resolve as in ``best_message``."""
     utilities = message_expected_utilities(
         space, channel, conditional, state, speaker_utility, receiver_type_belief
     )
-    return int(np.argmax(utilities))
+    return best_message(utilities)
 
 
 def _kl_nats(p: np.ndarray, q: np.ndarray) -> float:

@@ -417,6 +417,23 @@ class TestCliPiklDemo:
         )
         assert "selected message: 0" in capsys.readouterr().out
 
+    def test_each_step_runs_once(
+        self, tmp_path: Path, monkeypatch: pytest.MonkeyPatch
+    ) -> None:
+        # The report's utilities and mixtures are the ones the selection used.
+        calls: list[str] = []
+        for module in (citom.cli, citom.tom_policy):
+            for name in ("induced_message_policy", "message_expected_utilities"):
+                original = getattr(module, name)
+
+                def spy(*args, _name=name, _original=original, **kwargs):
+                    calls.append(_name)
+                    return _original(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, spy)
+        assert main(["pikl-demo", "--out", str(tmp_path / "demo")]) == 0
+        assert sorted(calls) == ["induced_message_policy", "message_expected_utilities"]
+
     def test_config_override(self, tmp_path: Path) -> None:
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps({"lambda_tom": 0.0}))

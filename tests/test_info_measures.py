@@ -441,6 +441,21 @@ class TestResourceBounds:
             tracemalloc.stop()
         assert peak < bound
 
+    def test_one_lag_peak_memory(self) -> None:
+        # One lag at the measure-wide shape peaks at 5.5 MiB with its pair
+        # codes sorted in place in one narrow array; int64 pair codes with
+        # ``np.unique``'s copies and full-length row-sum temporaries take it
+        # to 7.4 MiB.
+        joint = _binary_agents(12, 200_000, seed=6)
+        joint.encode()
+        tracemalloc.start()
+        try:
+            excess_tdmi(joint, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6.5 * 2**20
+
     def test_parse_peak_memory(self, tmp_path: Path) -> None:
         # The returned int64 columns alone are 18.3 MiB.
         names = tuple(f"a{i + 1}" for i in range(12))

@@ -11,6 +11,8 @@ with ``repr``.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -84,7 +86,7 @@ class TestTdmi:
 
     @pytest.mark.parametrize(
         ("alphabet", "length", "branch"),
-        [(2, 1000, "bincount"), (31, 1000, "bincount"), (32, 1000, "unique"), (2900, 3000, "unique")],
+        [(2, 1000, "bincount"), (31, 1000, "bincount"), (32, 1000, "sort"), (2900, 3000, "sort")],
     )
     @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("chunk", [1, 7, 64, info_measures._CHUNK_CELLS])
@@ -93,7 +95,7 @@ class TestTdmi:
         monkeypatch: pytest.MonkeyPatch,
     ) -> None:
         # ``bincount`` counts when the table has no more cells than there
-        # are pairs, ``unique`` otherwise.
+        # are pairs; the pair codes are sorted otherwise.
         tau = 1
         assert (alphabet * alphabet <= length - tau) == (branch == "bincount")
         monkeypatch.setattr(info_measures, "_CHUNK_CELLS", chunk)
@@ -104,6 +106,73 @@ class TestTdmi:
     def test_every_lag_up_to_length_minus_one(self, tau: int) -> None:
         series = SymbolSeries(symbols("zipf", 50, 1000, seed=tau), 50)
         assert tdmi(series, tau) == reference.tdmi(series, tau)
+
+
+def counted_cells(values: np.ndarray, tau: int) -> tuple[list[int], list[int], list[float]]:
+    """Rows, columns and probabilities of the occupied (present, lagged)
+    cells in row-major order, counted pair by pair with ``Counter``."""
+    counts = Counter(zip(values[tau:].tolist(), values[:-tau].tolist()))
+    cells = sorted(counts)
+    pairs = len(values) - tau
+    return [r for r, _ in cells], [c for _, c in cells], [counts[cell] / pairs for cell in cells]
+
+
+class TestOccupiedCells:
+    """``_occupied_cells`` against a pair-by-pair count, through each pair-code type."""
+
+    @staticmethod
+    def check(values: np.ndarray, alphabet: int, tau: int) -> None:
+        k, rows, cols, probs = info_measures._occupied_cells(SymbolSeries(values, alphabet), tau)
+        assert k == alphabet
+        assert (rows.tolist(), cols.tolist(), probs.tolist()) == counted_cells(values, tau)
+        # ``np.bincount`` casts its input to intp "safely": uint64 would fail.
+        assert np.can_cast(rows.dtype, np.intp) and np.can_cast(cols.dtype, np.intp)
+
+    @pytest.mark.parametrize(
+        ("alphabet", "code_type"),
+        [
+            (5, np.uint8),
+            (16, np.uint8),
+            (17, np.uint16),
+            (200, np.uint16),
+            (3000, np.uint32),
+            (65_536, np.uint32),
+            (65_537, np.uint64),
+            (70_000, np.uint64),
+            (10**6, np.uint64),
+            # Codes past 2**53, which a float64 sum would round.
+            (2**31 + 11, np.uint64),
+            (3_037_000_499, np.uint64),  # the largest K with K * K < 2**63
+        ],
+    )
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_every_code_type(self, alphabet: int, code_type: type, shape: str) -> None:
+        assert np.min_scalar_type(alphabet * alphabet - 1) == code_type
+        length = min(20, alphabet * alphabet)  # K * K > T - tau: the sorting branch
+        values = symbols(shape, alphabet, length, seed=alphabet)
+        values[:3] = [alphabet - 1, 0, alphabet - 1]  # the highest and lowest codes
+        for tau in (1, 2, length - 1):
+            self.check(values, alphabet, tau)
+
+    @pytest.mark.parametrize("alphabet", [2, 10, 16, 17])
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_branch_switch(
+        self, alphabet: int, extra: int, monkeypatch: pytest.MonkeyPatch
+    ) -> None:
+        # K * K == T - tau counts a table; one pair fewer sorts the codes.
+        tau = 2
+        length = alphabet * alphabet + tau - extra
+        tables: list[int] = []
+        bincount = np.bincount
+
+        def spy(values, weights=None, minlength=0):
+            tables.append(minlength)
+            return bincount(values, weights, minlength)
+
+        monkeypatch.setattr(np, "bincount", spy)
+        values = symbols("uniform", alphabet, length, seed=length)
+        self.check(values, alphabet, tau)
+        assert (alphabet * alphabet in tables) == (extra == 0)
 
 
 class TestExcessTdmi:

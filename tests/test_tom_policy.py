@@ -21,6 +21,7 @@ from citom.tom_policy import (
     Policy,
     anchor_objective,
     bayes_update,
+    best_message,
     induced_message_policy,
     kl_divergence,
     message_expected_utilities,
@@ -231,6 +232,23 @@ class TestMessageSelection:
         )
         assert utilities[0] == utilities[1]
         assert select_message(space, flat, conditional, 0, utility, belief) == 0
+
+    def test_one_tie_rule(self) -> None:
+        assert best_message(np.array([0.5, 0.5])) == 0
+        assert best_message(np.array([0.1, 0.7, 0.7])) == 1
+        space, channel, conditional = hand_instance()
+        utility = np.array([[0.0, 1.0], [1.0, 0.0]])
+        belief = BeliefState(np.array([0.3, 0.7]))
+        reactions = induced_message_policy(space, channel, conditional)
+        utilities = message_expected_utilities(
+            space, channel, conditional, 0, utility, belief, reactions
+        )
+        assert utilities.tolist() == message_expected_utilities(
+            space, channel, conditional, 0, utility, belief
+        ).tolist()
+        assert select_message(
+            space, channel, conditional, 0, utility, belief
+        ) == best_message(utilities)
 
     def test_utility_shape_errors(self) -> None:
         space, channel, conditional = hand_instance()
