@@ -20,7 +20,10 @@ less predictable than its parts) and is reported, never clamped.
 
 ``tdmi`` and ``excess_tdmi`` count only the occupied cells of the
 ``K x K`` lag-pair table, where ``K`` is the (joint) alphabet size, so
-they use memory proportional to ``T + K``, never ``K * K``.  A lag sorts
+they use memory proportional to ``T + K``, never ``K * K``.  Every series
+holds its symbols in the narrowest unsigned type of its alphabet (uint8
+for a binary agent, uint16 for a joint alphabet of 4096), so each product
+of symbols names the type it is built in.  A lag sorts
 its pair codes in place, in one array of the narrowest unsigned type, or
 counts them if the table has no more cells than pairs; it then holds an
 int64 row, column and probability per occupied cell.  A ``JointSeries``
@@ -101,12 +104,19 @@ def _frozen(array: np.ndarray, dtype) -> np.ndarray:
     return frozen
 
 
+def _narrowest(alphabet_size: int) -> np.dtype:
+    """The narrowest unsigned type that holds ``alphabet_size - 1`` (at most uint64)."""
+    return np.min_scalar_type(min(alphabet_size, _INT64_LIMIT) - 1)
+
+
 def _mixed_radix(components: Sequence[SymbolSeries], dtype) -> np.ndarray:
     """Read-only ``dtype`` codes of the components, the first the most significant digit."""
-    codes = np.zeros(len(components[0]), dtype=dtype)
+    codes, radix = np.zeros(len(components[0]), dtype=dtype), 1
     for comp in components:
-        codes *= comp.alphabet_size
-        codes += comp.symbols.astype(dtype, copy=False)
+        if radix > 1:  # zero codes need no shift, and a radix of 2**8 does not fit in uint8
+            codes *= comp.alphabet_size
+        codes += comp.symbols
+        radix *= comp.alphabet_size
     codes.setflags(write=False)
     return codes
 
@@ -116,8 +126,10 @@ class SymbolSeries:
     """A finite time series of symbols from a fixed alphabet ``{0..k-1}``.
 
     Args:
-        symbols: 1-D integer array, one entry per time step, kept as a
-            read-only int64 array (a copy if anyone could still write it).
+        symbols: 1-D integer array, one entry per time step, kept
+            read-only in the narrowest unsigned type that holds
+            ``alphabet_size - 1`` (a copy if anyone could still write it,
+            or if it has another type): uint8 for up to 256 symbols.
         alphabet_size: size ``k`` of the alphabet; every symbol must lie
             in ``[0, k)``.  The alphabet is part of the type so that
             distributions built from the series have a well-defined
@@ -145,7 +157,7 @@ class SymbolSeries:
                 f"symbols must lie in [0, {self.alphabet_size}), "
                 f"found range [{symbols.min()}, {symbols.max()}]"
             )
-        object.__setattr__(self, "symbols", _frozen(symbols, np.int64))
+        object.__setattr__(self, "symbols", _frozen(symbols, _narrowest(self.alphabet_size)))
 
     def __len__(self) -> int:
         return int(self.symbols.size)
@@ -191,8 +203,9 @@ class JointSeries:
 
         The code of step ``t`` is ``(...(s_1 * k_2 + s_2) * k_3 + ...)``,
         i.e. agent 1 is the most significant digit.  Raises ``ValueError``
-        when the joint alphabet has ``2**63`` symbols or more, because the
-        codes would not fit in int64.  Later calls return the first result.
+        when the joint alphabet has ``2**63`` symbols or more, because
+        counting needs int64 codes.  The codes take the joint alphabet's
+        narrowest unsigned type.  Later calls return the first result.
         """
         if self._encoded is None:
             size = self.joint_alphabet_size
@@ -201,7 +214,7 @@ class JointSeries:
                     f"joint alphabet of {size} symbols is too large to encode: "
                     f"the product of the alphabet sizes must be < 2**63"
                 )
-            codes = _mixed_radix(self.components, np.int64)
+            codes = _mixed_radix(self.components, _narrowest(size))
             object.__setattr__(self, "_encoded", SymbolSeries(codes, size))
         return self._encoded
 

@@ -14,10 +14,12 @@ number.
 
 Parsing reads the file once, with ``\r\n`` and ``\r`` ending lines as
 in text mode, and parses the header once.  One rule decides what a line
-is; each block of lines below the header picks its converter, straight
-into read-only columns: strided arithmetic for digit rows of one token
-width (as citom writes them), array arithmetic for other digit rows, or a
-line-by-line pass for anything else (:func:`parse_series_csv` says when).
+is; each block of lines below the header picks its converter: strided
+arithmetic for digit rows of one token width (as citom writes them),
+array arithmetic for other digit rows, or a line-by-line pass for
+anything else (:func:`parse_series_csv` says when).  The columns are kept
+read-only in the narrowest integer type that holds their symbols, so a
+binary column takes one byte per step and is never widened.
 
 All writers go through an atomic write-then-rename so a crashed run
 never leaves a truncated artifact; the CSV writers return the bytes they
@@ -194,12 +196,12 @@ def _convert_lines(lines: list[bytes], line_no: int, width: int) -> np.ndarray:
     return _symbol_block(rows, width)
 
 
-def _digit_rows(chunk: np.ndarray, out: np.ndarray) -> bool:
-    """Write ``chunk``'s lines into the ``(lines, width)`` int64 ``out`` if each
-    is ``width`` tokens of 1 to 18 ASCII digits joined by ``,``, and say whether
-    it did.  ``chunk`` holds its last line's line feed, if the file has one.
-    Tokens of one width are read as a ``(lines, width, span)`` byte matrix."""
-    lines, width = out.shape
+def _digit_rows(chunk: np.ndarray, lines: int, width: int) -> np.ndarray | None:
+    """``chunk``'s lines as a ``(lines, width)`` array, uint8 for one-digit tokens
+    and int64 otherwise, if each is ``width`` tokens of 1 to 18 ASCII digits
+    joined by ``,``; else ``None``.  ``chunk`` holds its last line's line feed,
+    if the file has one.  Tokens of one width are read as a ``(lines, width,
+    span)`` byte matrix."""
     row_ends = (b"," * (width - 1) + b"\n") * lines
     separators = np.frombuffer(row_ends, dtype=np.uint8)
     if chunk[-1] != ord("\n"):  # the file's unterminated last line
@@ -212,8 +214,7 @@ def _digit_rows(chunk: np.ndarray, out: np.ndarray) -> bool:
             values = digits[:, :, 0]  # uint8 until its first product
             for place in range(1, span - 1):
                 values = np.multiply(values, 10, dtype=np.int64) + digits[:, :, place]
-            np.copyto(out, values)
-            return True
+            return values
     digits = chunk - np.uint8(ord("0"))
     ends = np.flatnonzero(digits > 9)
     spans = np.ediff1d(ends, to_begin=ends[0] + 1)  # each token and its separator
@@ -224,35 +225,39 @@ def _digit_rows(chunk: np.ndarray, out: np.ndarray) -> bool:
         or not np.array_equal(chunk[ends], separators)
         or not 1 <= shortest <= longest <= 18
     ):
-        return False
+        return None
     values = np.zeros(ends.size, dtype=np.int64)
     for place in range(longest, 0, -1):
         live = spans > place if place > shortest else slice(None)  # a place every token has
         values[live] = values[live] * 10 + digits[ends[live] - place]
-    np.copyto(out, values.reshape(lines, width))
-    return True
+    return values.reshape(lines, width)
 
 
 def _read_body(body: np.ndarray, width: int, line_no: int) -> np.ndarray:
     """The data rows of ``body``, whose first line is line ``line_no``, as
-    the columns of one ``(width, rows)`` int64 array."""
+    the columns of one read-only ``(width, rows)`` array.  Each block is kept
+    in the narrowest unsigned type up to uint32 that holds it, else int64
+    (a symbol below 0 or of 2**32 or more), and joining takes the widest."""
     # Line r ends at stops[r]: its line feed, or the end of the file.
     stops = np.flatnonzero(body == ord("\n"))
     if body.size and body[-1] != ord("\n"):
         stops = np.append(stops, body.size)
-    columns = np.empty((width, stops.size), dtype=np.int64)
-    filled = start = 0
+    blocks, start = [np.empty((width, 0), dtype=np.uint8)], 0
     for first in range(0, stops.size, BLOCK_ROWS):
         block_stops = stops[first : first + BLOCK_ROWS]
         chunk = body[start : block_stops[-1] + 1]  # with its line feed, if any
-        rows = columns[:, filled : filled + block_stops.size].T  # where this block goes
-        if not _digit_rows(chunk, rows):
-            rows = _convert_lines(chunk.tobytes().splitlines(), line_no + first, width)
-            columns[:, filled : filled + len(rows)] = rows.T
-        filled += len(rows)
         start = block_stops[-1] + 1
+        rows = _digit_rows(chunk, block_stops.size, width)
+        if rows is None:
+            rows = _convert_lines(chunk.tobytes().splitlines(), line_no + first, width)
+        if rows.dtype != np.uint8:  # one-digit tokens come as uint8
+            low, high = rows.min(initial=0), rows.max(initial=0)  # 0 if no rows
+            # No uint64, which would join int64 as float64.
+            rows = rows.astype(np.min_scalar_type(high) if 0 <= low and high < 2**32 else np.int64)
+        blocks.append(rows.T)
+    columns = np.concatenate(blocks, axis=1)
     columns.setflags(write=False)  # so each series keeps its row uncopied
-    return columns[:, :filled]
+    return columns
 
 
 def parse_series_csv(path: Path | str) -> SeriesFile:

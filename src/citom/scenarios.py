@@ -119,7 +119,7 @@ class MatchingPenniesConfig:
 
 
 def _spin_to_symbol(values: np.ndarray) -> SymbolSeries:
-    return SymbolSeries(values > 0, 2)  # converted to int64 once
+    return SymbolSeries(values > 0, 2)  # converted to uint8 once
 
 
 @dataclass(frozen=True)

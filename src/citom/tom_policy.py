@@ -246,6 +246,8 @@ def message_expected_utilities(
         )
     if utility.shape[1] != conditional.n_actions:
         raise ValueError("speaker_utility columns must match the action count")
+    if not 0 <= state < conditional.table.shape[1]:
+        raise ValueError(f"state {state} out of range")
     weighted_utility = receiver_type_belief.posterior @ utility
     if reactions is None:
         reactions = induced_message_policy(space, channel, conditional)

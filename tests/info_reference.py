@@ -22,8 +22,8 @@ def build_lag_pairs(series: SymbolSeries | JointSeries, tau: int) -> LagPairDist
     if not 1 <= tau < length:
         raise ValueError(f"tau must satisfy 1 <= tau < {length}, got {tau}")
     k = series.alphabet_size
-    present = series.symbols[tau:]
-    lagged = series.symbols[:-tau]
+    present = series.symbols[tau:].astype(np.int64)  # widened: the symbols' own type wraps
+    lagged = series.symbols[:-tau].astype(np.int64)
     counts = np.bincount(present * k + lagged, minlength=k * k).reshape(k, k)
     return LagPairDistribution.from_counts(counts, tau)
 

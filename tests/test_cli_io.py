@@ -177,6 +177,20 @@ class TestParseSeriesCsv:
             ("# alphabet_size: 2,2\nx\n0\n", "declares 2 columns, header has 1"),
             ("x\n-1\n", "negative symbols"),
             ("# alphabet_size: 2\nx\n0\n5\n", "symbol 5 outside alphabet of size 2"),
+            # Range errors read exact values, whatever type a column is kept in.
+            (
+                "# alphabet_size: 2\nx\n0\n300\n",
+                "^column 'x' has symbol 300 outside alphabet of size 2$",
+            ),
+            (
+                "# alphabet_size: 2\nx\n0\n999999999999999999\n",
+                "^column 'x' has symbol 999999999999999999 outside alphabet of size 2$",
+            ),
+            pytest.param(
+                "# alphabet_size: 2,2\nx,y\n" + "999999999999999999,0\n" * BLOCK_ROWS + "0,-1\n",
+                "^column 'x' has symbol 999999999999999999 outside alphabet of size 2$",
+                id="18-digit block joined with a negative one",
+            ),
             ("", "line 1: missing header row"),
             ("x,y\n", "no data rows"),
         ],
@@ -187,6 +201,15 @@ class TestParseSeriesCsv:
         path = write_series(tmp_path, text)
         with pytest.raises(ParseError, match=match):
             parse_series_csv(path)
+
+    def test_columns_take_the_narrowest_type(self, tmp_path: Path) -> None:
+        # A block of one-digit tokens, a block of comments, a block of wider tokens.
+        one_digit, comments = "0,1,2\n" * BLOCK_ROWS, "#\n" * BLOCK_ROWS
+        text = "x,y,z\n" + one_digit + comments + "70000,0,999999999999999999\n"
+        components = parse_series_csv(write_series(tmp_path, text)).series.components
+        assert [c.symbols.dtype for c in components] == [np.uint32, np.uint8, np.uint64]
+        assert [int(c.symbols[-1]) for c in components] == [70_000, 0, 999_999_999_999_999_999]
+        assert [c.alphabet_size for c in components] == [70_001, 2, 10**18]
 
     def test_series_file_name_arity(self) -> None:
         joint = JointSeries((SymbolSeries(np.array([0, 1]), 2),))

@@ -81,7 +81,7 @@ class TestSymbolSeries:
         with pytest.raises(ValueError, match=r"^symbols must be integers, got nan$"):
             SymbolSeries(np.array([np.nan, 1.0]), 2)
         series = SymbolSeries(np.array([0.0, 1.0, 1.0]), 2)
-        assert series.symbols.dtype == np.int64
+        assert series.symbols.dtype == np.uint8
         assert series.symbols.tolist() == [0, 1, 1]
 
     def test_rejects_2d_input(self) -> None:
@@ -93,7 +93,7 @@ class TestSymbolSeries:
 
     @pytest.mark.parametrize("how", HANDED_OVER)
     def test_copies_an_array_the_caller_can_still_write(self, how: str) -> None:
-        symbols, overwrite = _handed_over([0, 1, 0, 1, 0, 1], np.int64, how)
+        symbols, overwrite = _handed_over([0, 1, 0, 1, 0, 1], np.uint8, how)
         series = SymbolSeries(symbols, 2)
         joint = JointSeries((series, series))
         value, report = tdmi(series, 1), excess_tdmi(joint, 1)  # keeps the joint codes
@@ -105,11 +105,28 @@ class TestSymbolSeries:
         assert excess_tdmi(joint, 1) == report == excess_tdmi(JointSeries((series, series)), 1)
 
     def test_keeps_an_array_no_one_can_write(self) -> None:
-        owned = np.array([0, 1, 1], dtype=np.int64)
+        owned = np.array([0, 1, 1], dtype=np.uint8)
         owned.setflags(write=False)
-        from_bytes = np.frombuffer(owned.tobytes(), dtype=np.int64)
+        from_bytes = np.frombuffer(owned.tobytes(), dtype=np.uint8)
         for symbols in (owned, owned[1:], from_bytes):
             assert np.shares_memory(SymbolSeries(symbols, 2).symbols, symbols)
+
+    @pytest.mark.parametrize(
+        ("alphabet", "dtype"),
+        [
+            (1, np.uint8),
+            (2, np.uint8),
+            (256, np.uint8),
+            (257, np.uint16),
+            (65_536, np.uint16),
+            (65_537, np.uint32),
+            (2**32 + 1, np.uint64),
+        ],
+    )
+    def test_stores_the_narrowest_unsigned_type(self, alphabet: int, dtype) -> None:
+        series = SymbolSeries(np.array([alphabet - 1, 0, alphabet - 1]), alphabet)
+        assert series.symbols.dtype == dtype
+        assert series.symbols.tolist() == [alphabet - 1, 0, alphabet - 1]
 
 
 class TestJointSeries:
@@ -118,6 +135,37 @@ class TestJointSeries:
         encoded = joint.encode()
         assert encoded.symbols.tolist() == [0 * 3 + 1, 1 * 3 + 0]
         assert encoded.alphabet_size == 6
+
+    @pytest.mark.parametrize(
+        "alphabets",
+        [
+            (1,),
+            (2,),
+            (256,),
+            (1, 256),
+            (16, 16),
+            (257,),
+            (2, 128, 1, 2),
+            (65_536,),
+            (1, 256, 256),
+            (65_537,),
+            (1, 2**16, 2**16),
+            (1, 2**32),
+            (2**32 + 1,),
+            (3, 5, 7, 11, 13),
+        ],
+        ids=str,
+    )
+    def test_encodes_in_the_joint_alphabets_narrowest_type(self, alphabets: tuple) -> None:
+        rng = np.random.default_rng(len(alphabets))
+        columns = [np.concatenate(([k - 1, 0], rng.integers(0, k, 30))) for k in alphabets]
+        joint = JointSeries(tuple(SymbolSeries(c, k) for c, k in zip(columns, alphabets)))
+        expected = np.zeros(32, dtype=np.int64)
+        for column, k in zip(columns, alphabets):
+            expected = expected * k + column
+        encoded = joint.encode()
+        assert encoded.symbols.dtype == np.min_scalar_type(math.prod(alphabets) - 1)
+        assert encoded.symbols.tolist() == expected.tolist()
 
     def test_rejects_mismatched_lengths(self) -> None:
         with pytest.raises(ValueError):
@@ -457,7 +505,8 @@ class TestResourceBounds:
         assert peak < 6.5 * 2**20
 
     def test_parse_peak_memory(self, tmp_path: Path) -> None:
-        # The returned int64 columns alone are 18.3 MiB.
+        # The columns come back as uint8, 2.3 MiB, and the parse peaks at
+        # about 11 MiB; int64 columns alone would be 18.3 MiB.
         names = tuple(f"a{i + 1}" for i in range(12))
         joint = _binary_agents(len(names), 200_000, seed=7)
         text = series_csv_text(SeriesFile(names, joint))
@@ -466,11 +515,13 @@ class TestResourceBounds:
             path.write_bytes(text.replace(b"\n", newline))
             tracemalloc.start()
             try:
-                parse_series_csv(path)
+                parsed = parse_series_csv(path)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak < 40 * 2**20, newline
+            assert peak < 16 * 2**20, newline
+            assert {c.symbols.dtype for c in parsed.series.components} == {np.dtype(np.uint8)}
+            assert parsed.series.encode().symbols.dtype == np.uint16
 
     def test_measured_arrays_are_not_copied(
         self, tmp_path: Path, monkeypatch: pytest.MonkeyPatch

@@ -276,6 +276,16 @@ class TestMessageSelection:
                 BeliefState(np.array([0.2, 0.3, 0.5])),
             )
 
+    @pytest.mark.parametrize("state", [-1, 2])
+    def test_state_out_of_range(self, state: int) -> None:
+        space, channel, _ = hand_instance()
+        two_states = np.array([[[0.9, 0.1], [0.3, 0.7]], [[0.2, 0.8], [0.6, 0.4]]])
+        conditional = Policy(two_states, "tsa")
+        utility, belief = np.eye(2), BeliefState(np.array([0.6, 0.4]))
+        for choose in (message_expected_utilities, select_message):
+            with pytest.raises(ValueError, match=f"^state {state} out of range$"):
+                choose(space, channel, conditional, state, utility, belief)
+
 
 class TestKlDivergence:
     def test_point_mass_against_uniform_is_exactly_one_bit(self) -> None:
