@@ -22,10 +22,11 @@ read-only in the narrowest integer type that holds their symbols, so a
 binary column takes one byte per step and is never widened.
 
 All writers go through an atomic write-then-rename so a crashed run
-never leaves a truncated artifact; the CSV writers return the bytes they
-built, which go to disk uncopied.  Floats get six decimals so identical
-runs give identical bytes.  Rows are rendered and parsed ``BLOCK_ROWS`` at
-a time; a block's cells fill one NUL-padded byte matrix, NULs then dropped.
+never leaves a truncated artifact, and streams to disk the chunks the CSV
+writers yield, one per block of rows, so no file's whole text is held.
+Floats get six decimals so identical runs give identical bytes.  Rows are
+rendered and parsed ``BLOCK_ROWS`` at a time; a block's cells fill one
+NUL-padded byte matrix, NULs then dropped.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import os
 from dataclasses import dataclass
 from io import BytesIO
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -59,8 +60,8 @@ __all__ = [
 
 ALPHABET_KEY = "alphabet_size"
 
-# Rows rendered or parsed per step: bounds the cells and tokens held at
-# once, however long the series.
+# Rows rendered or parsed per step, and per chunk a CSV writer yields:
+# bounds the cells, tokens and text held at once, however long the series.
 BLOCK_ROWS = 4096
 
 
@@ -88,13 +89,17 @@ def format_float(value: float) -> str:
     return "0.000000" if text == "-0.000000" else text
 
 
-def atomic_write_text(path: Path, content: str | bytes | bytearray) -> None:
-    """Write ``content`` (``str`` as UTF-8) to a temporary sibling renamed into
-    place, so readers never see partial content; a failure removes the sibling."""
+def atomic_write_text(path: Path, content: str | bytes | Iterable[bytes]) -> None:
+    """Write ``content`` (``str`` as UTF-8, ``bytes`` or ``bytearray`` as is, or
+    byte chunks as they come) to a temporary sibling renamed into place; any
+    failure, the chunk source's too, removes the sibling and keeps ``path``."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
+    if isinstance(content, (str, bytes, bytearray)):
+        content = [content.encode("utf-8") if isinstance(content, str) else content]
     try:
-        tmp.write_bytes(content.encode("utf-8") if isinstance(content, str) else content)
+        with open(tmp, "wb") as handle:
+            handle.writelines(content)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -299,13 +304,15 @@ def parse_series_csv(path: Path | str) -> SeriesFile:
     return SeriesFile(names, JointSeries(tuple(components)))
 
 
-def _column_cells(column: np.ndarray) -> np.ndarray:
-    """A block of a column as a ``(rows, width)`` uint8 matrix of NUL-padded
-    cells.  Floats call ``format_float`` once per distinct bit pattern.
-    Integers and bools are written by digit place: a sign column (``-`` or
-    NUL) only if some value is negative, then the digits right-aligned
-    behind leading NULs.  No cell text holds a NUL byte, so dropping a
-    row's NULs leaves exactly its cells."""
+def _column_cells(column: np.ndarray | range) -> np.ndarray:
+    """A block of a column (a ``range`` becomes an array only here) as a
+    ``(rows, width)`` uint8 matrix of NUL-padded cells.  Floats call
+    ``format_float`` once per distinct bit pattern.  Integers and bools are
+    written by digit place: a sign column (``-`` or NUL) only if some value
+    is negative, then the digits right-aligned behind leading NULs.  No cell
+    text holds a NUL byte, so dropping a row's NULs leaves exactly its cells."""
+    if isinstance(column, range):
+        column = np.arange(column.start, column.stop, column.step)
     if column.dtype.kind == "f":
         keys = column.astype(np.float64).view(np.uint64)
         distinct, codes = np.unique(keys, return_inverse=True)
@@ -327,7 +334,7 @@ def _column_cells(column: np.ndarray) -> np.ndarray:
     return cells
 
 
-def _padded_rows(columns: Sequence[np.ndarray], start: int) -> bytearray:
+def _padded_rows(columns: Sequence[np.ndarray | range], start: int) -> bytearray:
     """The block of rows from ``start``: each column's NUL-padded cells then
     ``,``, the last a line feed, filled through one ``(rows, width)`` matrix."""
     cells = [_column_cells(column[start : start + BLOCK_ROWS]) for column in columns]
@@ -340,40 +347,39 @@ def _padded_rows(columns: Sequence[np.ndarray], start: int) -> bytearray:
     return padded
 
 
-def columns_csv_text(header: Sequence[str], columns: Sequence[np.ndarray]) -> bytearray:
-    """A header line, then one CSV row per index of the equal-length
-    ``columns``; each column's cell format follows its dtype.  The UTF-8
-    text is returned in the bytearray it was built in; each block drops its
-    NULs in one flat ``translate``."""
-    text = bytearray((",".join(header) + "\n").encode("utf-8"))
+def columns_csv_text(
+    header: Sequence[str], columns: Sequence[np.ndarray | range]
+) -> Iterator[bytes]:
+    """Yield a header line, then one chunk of UTF-8 CSV rows per block of the
+    equal-length ``columns``; each column's cell format follows its dtype and
+    each block drops its NULs in one flat ``translate``."""
+    yield (",".join(header) + "\n").encode("utf-8")
     for start in range(0, len(columns[0]), BLOCK_ROWS):
-        text += _padded_rows(columns, start).translate(None, b"\0")
-    return text
+        yield _padded_rows(columns, start).translate(None, b"\0")
 
 
-def series_csv_text(series_file: SeriesFile) -> bytearray:
-    """Render a joint series with the alphabet declaration and header."""
+def series_csv_text(series_file: SeriesFile) -> Iterator[bytes]:
+    """Yield a joint series' alphabet declaration, header and rows as chunks."""
     components = series_file.series.components
     sizes = ",".join(str(c.alphabet_size) for c in components)
-    text = columns_csv_text(series_file.names, [c.symbols for c in components])
-    text[:0] = f"# {ALPHABET_KEY}: {sizes}\n".encode("utf-8")
-    return text
+    yield f"# {ALPHABET_KEY}: {sizes}\n".encode("utf-8")
+    yield from columns_csv_text(series_file.names, [c.symbols for c in components])
 
 
-def _episode_csv_text(log, index: str, fields: tuple[str, ...]) -> bytearray:
-    columns = [np.arange(len(log)), *(getattr(log, field) for field in fields)]
+def _episode_csv_text(log, index: str, fields: tuple[str, ...]) -> Iterator[bytes]:
+    columns = [range(len(log)), *(getattr(log, field) for field in fields)]
     return columns_csv_text((index, *fields), columns)
 
 
-def triadic_episode_csv_text(log) -> bytearray:
-    """Full per-step record of a triadic episode."""
+def triadic_episode_csv_text(log) -> Iterator[bytes]:
+    """Full per-step record of a triadic episode, as chunks."""
     return _episode_csv_text(
         log, "step", ("signal", "x1", "coupling", "x2", "x3", "u1", "u2", "u3", "value")
     )
 
 
-def matching_pennies_episode_csv_text(log) -> bytearray:
-    """Full per-trial record of a matching-pennies episode."""
+def matching_pennies_episode_csv_text(log) -> Iterator[bytes]:
+    """Full per-trial record of a matching-pennies episode, as chunks."""
     return _episode_csv_text(
         log, "trial", ("monkey", "computer", "monkey_reward", "computer_reward")
     )
@@ -408,16 +414,10 @@ def measures_json_payload(
     for report in reports:
         if len(report.per_agent_tdmi) != len(agent_names):
             raise ValueError("agent_names must match the report arity")
+        per_agent = dict(zip(agent_names, report.per_agent_tdmi))
         measures.append(
-            {
-                "tau": report.tau,
-                "joint_tdmi": report.joint_tdmi,
-                "per_agent_tdmi": {
-                    name: value
-                    for name, value in zip(agent_names, report.per_agent_tdmi)
-                },
-                "excess": report.excess,
-            }
+            {"tau": report.tau, "joint_tdmi": report.joint_tdmi,
+             "per_agent_tdmi": per_agent, "excess": report.excess}
         )
     return {"agents": list(agent_names), "measures": measures}
 

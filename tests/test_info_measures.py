@@ -509,7 +509,7 @@ class TestResourceBounds:
         # about 11 MiB; int64 columns alone would be 18.3 MiB.
         names = tuple(f"a{i + 1}" for i in range(12))
         joint = _binary_agents(len(names), 200_000, seed=7)
-        text = series_csv_text(SeriesFile(names, joint))
+        text = b"".join(series_csv_text(SeriesFile(names, joint)))
         path = tmp_path / "series.csv"
         for newline in (b"\n", b"\r\n"):
             path.write_bytes(text.replace(b"\n", newline))
@@ -530,7 +530,8 @@ class TestResourceBounds:
         # array reach their series read-only, so none is copied again.
         path = tmp_path / "series.csv"
         names = tuple(f"a{i + 1}" for i in range(5))
-        path.write_bytes(series_csv_text(SeriesFile(names, _binary_agents(5, 300, seed=1))))
+        series = SeriesFile(names, _binary_agents(5, 300, seed=1))
+        path.write_bytes(b"".join(series_csv_text(series)))
         copied: list[tuple[int, ...]] = []
         frozen = info_measures._frozen
 

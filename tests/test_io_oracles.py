@@ -8,6 +8,7 @@ that cross a ``BLOCK_ROWS`` boundary.
 
 from __future__ import annotations
 
+import math
 import tempfile
 from pathlib import Path
 
@@ -86,7 +87,7 @@ class TestWriterMatchesReference:
     def test_random_int_and_float_columns(self, cols: list[np.ndarray]) -> None:
         header = [f"c{i}" for i in range(len(cols))]
         expected = reference.columns_csv_text(header, cols).encode("utf-8")
-        assert columns_csv_text(header, cols) == expected
+        assert b"".join(columns_csv_text(header, cols)) == expected
 
     @pytest.mark.parametrize(
         "length", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3]
@@ -101,7 +102,9 @@ class TestWriterMatchesReference:
         ]
         header = ["step", "special", "small", "int"]
         expected = reference.columns_csv_text(header, cols).encode("utf-8")
-        assert columns_csv_text(header, cols) == expected
+        chunks = list(columns_csv_text(header, cols))
+        assert len(chunks) == 1 + math.ceil(length / BLOCK_ROWS)  # the header, then a block each
+        assert b"".join(chunks) == expected
 
     def test_floats_rendered_once_per_distinct_value_per_block(
         self, monkeypatch: pytest.MonkeyPatch
@@ -115,7 +118,7 @@ class TestWriterMatchesReference:
             return format_float(value)
 
         monkeypatch.setattr(citom_io, "format_float", counting)
-        text = triadic_episode_csv_text(log)
+        text = b"".join(triadic_episode_csv_text(log))
         monkeypatch.undo()
         assert text == reference.triadic_episode_csv_text(log).encode("utf-8")
         expected = 0
@@ -140,9 +143,10 @@ class TestWriterMatchesReference:
             TriadicConfig(mode=mode, steps=steps, seed=seed, delay=delay, taus=(1,))
         )
         expected = reference.triadic_episode_csv_text(log).encode("utf-8")
-        assert triadic_episode_csv_text(log) == expected
+        assert b"".join(triadic_episode_csv_text(log)) == expected
         series = SeriesFile(log.agent_names, log.joint_series())
-        assert series_csv_text(series) == reference.series_csv_text(series).encode("utf-8")
+        expected = reference.series_csv_text(series).encode("utf-8")
+        assert b"".join(series_csv_text(series)) == expected
 
     @settings(max_examples=4, deadline=None)
     @given(st.sampled_from([0, 1, 2]), st.sampled_from([2, 9, BLOCK_ROWS + 1]))
@@ -151,7 +155,7 @@ class TestWriterMatchesReference:
             MatchingPenniesConfig(algorithm_id=algorithm_id, steps=steps, taus=(1,))
         )
         expected = reference.matching_pennies_episode_csv_text(log).encode("utf-8")
-        assert matching_pennies_episode_csv_text(log) == expected
+        assert b"".join(matching_pennies_episode_csv_text(log)) == expected
 
 
 def edge_values(dtype) -> np.ndarray:
@@ -168,17 +172,17 @@ class TestIntegerCells:
     """Integer and bool cells, written by digit place, against ``str(int(v))``."""
 
     def test_bools_render_as_zero_and_one(self) -> None:
-        assert columns_csv_text(["b"], [np.array([True, False])]) == b"b\n1\n0\n"
+        assert b"".join(columns_csv_text(["b"], [np.array([True, False])])) == b"b\n1\n0\n"
 
     @pytest.mark.parametrize("dtype", INT_DTYPES, ids=lambda d: np.dtype(d).name)
     def test_extremes_and_digit_count_boundaries(self, dtype) -> None:
         edges = edge_values(dtype)
         cols = [edges, edges[::-1].copy(), np.roll(edges, 1)]
         expected = reference.columns_csv_text(["a", "b", "c"], cols).encode("utf-8")
-        assert columns_csv_text(["a", "b", "c"], cols) == expected
+        assert b"".join(columns_csv_text(["a", "b", "c"], cols)) == expected
         small = [edges[(edges >= -1) & (edges <= 1)]]  # -1 alone needs a sign
         expected = reference.columns_csv_text(["s"], small).encode("utf-8")
-        assert columns_csv_text(["s"], small) == expected
+        assert b"".join(columns_csv_text(["s"], small)) == expected
 
     @pytest.mark.parametrize("dtype", INT_DTYPES, ids=lambda d: np.dtype(d).name)
     def test_mixed_widths_across_block_boundaries(self, dtype) -> None:
@@ -193,7 +197,7 @@ class TestIntegerCells:
         column[-3:] = [edges[0], 0, edges[-1]]
         cols = [column, column[::-1].copy()]
         expected = reference.columns_csv_text(["a", "b"], cols).encode("utf-8")
-        assert columns_csv_text(["a", "b"], cols) == expected
+        assert b"".join(columns_csv_text(["a", "b"], cols)) == expected
 
 
 # Token spellings that int() accepts.
@@ -360,7 +364,7 @@ class TestFastPathMatchesReference:
         joint = JointSeries(
             tuple(SymbolSeries(rng.integers(0, 2, 2 * BLOCK_ROWS + 5), 2) for _ in names)
         )
-        text = series_csv_text(SeriesFile(names, joint)).decode("utf-8")
+        text = b"".join(series_csv_text(SeriesFile(names, joint))).decode("utf-8")
         lines = text.split("\n")
         lines[BLOCK_ROWS + 9] = " " + lines[BLOCK_ROWS + 9]
         # One block of 1- and 18-digit tokens, the last line unterminated.
