@@ -13,9 +13,9 @@ exactly like algorithm 0.  The decision rule lives in
 the fused trial loop of ``scenarios.run_matching_pennies`` call.
 
 Every exact tail state (``walk_pvalue``) has one owner, which walks it
-from its own last count: each count-table entry, each significance
-level's critical-tail list (``critical_tails``), and
-``binomial_pvalue_half`` itself.
+from its own last count: each count-table entry, or each significance
+level's critical-tail list (``critical_tails``).  ``walk_pvalue`` is the
+one function that computes a p-value.
 
 Long algorithm-2 sessions cost more than linear time: both statistics
 reject on over half the trials (108,838 of 200k at seed 0), and each
@@ -46,7 +46,6 @@ from .game_core import (
 )
 
 __all__ = [
-    "binomial_pvalue_half",
     "MatchingPenniesPredictor",
     "DeltaRuleLearner",
     "equilibrium_action",
@@ -83,32 +82,6 @@ def walk_pvalue(state: list[int], tail: int, trials: int) -> float:
     return 1.0 if 2 * t == n else total / (1 << (n - 1))
 
 
-_pvalue_state = [0, 0, 1, 1]  # the one tail state ``binomial_pvalue_half`` walks
-
-
-def binomial_pvalue_half(successes: int, trials: int) -> float:
-    """Exact two-sided binomial p-value against p = 0.5.
-
-    At the symmetric null the minimum-likelihood two-sided test doubles
-    the tail of the less frequent outcome, so the p-value is
-    ``min(1, 2 * sum(C(n, i) for i <= t) / 2**n)`` with ``t = min(k, n - k)``.
-    The sum is kept as an exact integer and the result is that rational
-    correctly rounded to a float; a perfectly balanced count has p-value 1.
-
-    It walks (``walk_pvalue``) one module-level state from the last call's
-    count, one step away for a count that grows by one trial or moves its
-    tail by one, and restarts from ``[0, n, 1, 1]`` when ``n`` is below the
-    last call's.  The trial loop does not come here: each of its counts
-    walks its own state.
-    """
-    if not 0 <= successes <= trials:
-        raise ValueError(f"need 0 <= successes <= trials, got {successes}/{trials}")
-    tail, trials = int(min(successes, trials - successes)), int(trials)
-    if trials < _pvalue_state[1]:
-        _pvalue_state[:] = 0, trials, 1, 1
-    return walk_pvalue(_pvalue_state, tail, trials)
-
-
 _CRITICAL_LEVELS = 8  # critical-tail lists kept, the most recently used last
 # By significance level: the critical-tail list and the tail state it walks.
 _critical: OrderedDict[float, tuple[list[int], list[int]]] = OrderedDict()
@@ -117,10 +90,11 @@ _critical: OrderedDict[float, tuple[list[int], list[int]]] = OrderedDict()
 def critical_tails(alpha: float, trials: int) -> list[int]:
     """The critical-tail list ``c`` of ``alpha``, grown in place to cover ``trials``.
 
-    ``c[n]`` is the largest tail ``t`` with ``binomial_pvalue_half(t, n) < alpha``,
-    or -1 if none.  Exactly, because the p-value ``2 S(t, n) / 2**n`` of the tail
-    sum ``S`` keeps its order through rounding and the cap at 1, and a balanced
-    count's p-value 1 exceeds ``alpha``:
+    ``c[n]`` is the largest tail ``t`` whose exact two-sided p-value
+    ``min(1, 2 S(t, n) / 2**n)`` is below ``alpha``, or -1 if none, with
+    ``S(t, n)`` the sum of ``C(n, i)`` over ``i <= t``.  The p-value keeps
+    the order of ``S`` through rounding and the cap at 1, and a balanced
+    count's p-value 1 exceeds ``alpha``, so:
 
     * ``S`` grows with ``t``, so ``k`` of ``n`` rejects iff ``min(k, n - k) <= c[n]``.
     * ``S(t, n+1) = S(t, n) + S(t-1, n) <= 2 S(t, n)``, so ``c[n+1] >= c[n]``.

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import exp
+from operator import index
 from typing import Iterable
 
 import numpy as np
@@ -53,8 +54,21 @@ __all__ = [
 ]
 
 
+def _integer(name: str, value) -> int:
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _integer_fields(config, *names: str) -> None:
+    """Store each named field of the frozen ``config`` as an ``int``, or raise ``ValueError``."""
+    for name in names:
+        object.__setattr__(config, name, _integer(name, getattr(config, name)))
+
+
 def validated_taus(taus: Iterable[int], steps: int) -> tuple[int, ...]:
-    result = tuple(int(tau) for tau in taus)
+    result = tuple(_integer("lag", tau) for tau in taus)
     if not result:
         raise ValueError("at least one lag is required")
     for tau in result:
@@ -80,6 +94,7 @@ class TriadicConfig:
     def __post_init__(self) -> None:
         if self.mode not in ("a", "b"):
             raise ValueError(f"mode must be 'a' or 'b', got {self.mode!r}")
+        _integer_fields(self, "steps", "seed", "delay")
         if self.steps < 2:
             raise ValueError(f"steps must be >= 2, got {self.steps}")
         if self.delay < 0:
@@ -108,6 +123,7 @@ class MatchingPenniesConfig:
     inverse_temperature: float = 3.0
 
     def __post_init__(self) -> None:
+        _integer_fields(self, "algorithm_id", "steps", "seed")
         # The agents' own checks, run when the config is built.
         check_predictor_settings(self.algorithm_id, self.significance_level)
         if self.steps < 2:

@@ -2,7 +2,7 @@
 
 The predictor's incremental count tables are checked against a
 test-local recompute that rescans the whole history every trial, and
-the closed-form binomial p-value is checked against scipy's generic
+the p-value ``walk_pvalue`` walks is checked against scipy's generic
 binomial test over an exhaustive small-n grid.
 """
 
@@ -15,12 +15,12 @@ import numpy as np
 import pytest
 from scipy.stats import binomtest
 
+import pennies_reference as reference
 from citom import agents
 from citom.agents import (
     DeltaRuleLearner,
     MatchingPenniesPredictor,
     Orchestrator,
-    binomial_pvalue_half,
     equilibrium_action,
 )
 from citom.game_core import (
@@ -32,30 +32,27 @@ from citom.game_core import (
 )
 
 
+def pvalue(successes: int, trials: int) -> float:
+    """The trial loop's p-value of ``successes`` of ``trials``, from a fresh tail state."""
+    return agents.walk_pvalue([0, 0, 1, 1], min(successes, trials - successes), trials)
+
+
 class TestBinomialPvalue:
     def test_matches_scipy_exhaustively_for_small_n(self) -> None:
         for n in range(0, 41):
             for k in range(n + 1):
                 expected = 1.0 if n == 0 else binomtest(k, n, 0.5).pvalue
-                assert binomial_pvalue_half(k, n) == pytest.approx(
-                    expected, rel=1e-12, abs=1e-300
-                )
+                assert pvalue(k, n) == pytest.approx(expected, rel=1e-12, abs=1e-300)
 
     def test_matches_scipy_spot_large_n(self) -> None:
         for k, n in [(4900, 10_000), (5100, 10_000), (251, 400), (0, 1000)]:
-            assert binomial_pvalue_half(k, n) == pytest.approx(
+            assert pvalue(k, n) == pytest.approx(
                 binomtest(k, n, 0.5).pvalue, rel=1e-10, abs=1e-300
             )
 
     def test_balanced_counts_have_pvalue_one(self) -> None:
-        assert binomial_pvalue_half(10, 20) == 1.0
-        assert binomial_pvalue_half(0, 0) == 1.0
-
-    def test_input_validation(self) -> None:
-        with pytest.raises(ValueError):
-            binomial_pvalue_half(5, 4)
-        with pytest.raises(ValueError):
-            binomial_pvalue_half(-1, 4)
+        assert pvalue(10, 20) == 1.0
+        assert pvalue(0, 0) == 1.0
 
 
 def replay_response(
@@ -77,7 +74,7 @@ def replay_response(
             total += 1
             ones += choices[j]
     if total:
-        candidates.append((binomial_pvalue_half(ones, total), 0, ones / total))
+        candidates.append((reference.exact_pvalue(ones, total), 0, ones / total))
     if algorithm_id == 2:
         pairs = list(zip(choices, rewards))
         current_pairs = tuple(pairs[t - context_length : t])
@@ -87,7 +84,7 @@ def replay_response(
                 total += 1
                 ones += choices[j]
         if total:
-            candidates.append((binomial_pvalue_half(ones, total), 1, ones / total))
+            candidates.append((reference.exact_pvalue(ones, total), 1, ones / total))
     rejected = [c for c in candidates if c[0] < alpha]
     if not rejected:
         return 0.5

@@ -11,12 +11,18 @@ which the package's wildcard imports would let the later one rebind.
 A rule that two modules share, such as the distribution check, lives
 under a public name in its home module: no citom module imports an
 underscore-prefixed name from another.
+
+The benchmark's tracer wraps citom functions and methods by name and
+drops the metric of a name that no longer resolves, so deleting or
+moving one of them would pass every other test and still empty a
+benchmark metric.  ``test_tracer_names_resolve`` resolves them here.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib
+import importlib.util
 import pkgutil
 from collections import Counter
 from pathlib import Path
@@ -49,3 +55,25 @@ def test_no_module_imports_a_private_name_from_another() -> None:
                     if alias.name.startswith("_")
                 ]
     assert private == []
+
+
+# Names the tracer lists that no longer exist in citom.
+TRACER_ABSENT = {
+    "citom.agents.MatchingPenniesPredictor.choose",
+    "citom.agents.DeltaRuleLearner.choose",
+}
+
+
+def test_tracer_names_resolve() -> None:
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)  # defines the tables; installs nothing
+    unresolved = set()
+    for _, module, attributes, _ in tracing.SPANS + tracing.COUNTED:
+        owner = importlib.import_module(module)
+        for attribute in attributes.split("."):
+            owner = getattr(owner, attribute, None)
+        if owner is None:
+            unresolved.add(f"{module}.{attributes}")
+    assert unresolved <= TRACER_ABSENT

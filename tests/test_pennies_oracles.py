@@ -3,12 +3,12 @@
 ``pennies_reference`` holds scipy's ``bdtr`` p-value, an exact
 ``Fraction`` p-value, the predictor that decides from a candidate list
 of p-values and the per-trial loop in which each agent draws its own
-uniform.  The production p-value must equal the exact one bit for bit
-(from whichever count its one tail state was walked) and make the same
-``< 0.05`` decision as ``bdtr``, and so must every p-value of a tail state
-walked through any sequence of counts.  Algorithm 2 must walk p-values
-only on trials where both statistics reject, the critical-tail lists must
-equal a brute-force search over that p-value, the predictor must decide as the
+uniform.  Every p-value ``walk_pvalue`` returns must equal the exact one
+bit for bit, from a fresh tail state or one walked through any sequence
+of counts, and the critical tails must make the same ``< 0.05`` decision
+as ``bdtr``.  Algorithm 2 must walk p-values only on trials where both
+statistics reject, the critical-tail lists must equal a brute-force
+search over the walked p-value, the predictor must decide as the
 candidate list does, and ``run_matching_pennies`` must give the
 reference's episodes byte for byte, at drawn significance levels,
 learning rates and inverse temperatures.
@@ -30,7 +30,7 @@ from scipy.special import bdtr
 
 import pennies_reference as reference
 from citom import agents
-from citom.agents import MatchingPenniesPredictor, binomial_pvalue_half
+from citom.agents import MatchingPenniesPredictor
 from citom.scenarios import MatchingPenniesConfig, run_matching_pennies
 
 
@@ -123,7 +123,7 @@ class TestEpisodes:
 
 # Significance levels that are themselves p-values, so a statistic sits
 # exactly at alpha and must not reject.
-ATTAINED_ALPHAS = (2**-10, binomial_pvalue_half(3, 20))
+ATTAINED_ALPHAS = (2**-10, reference.exact_pvalue(3, 20))
 
 
 class TestDecisionRule:
@@ -141,7 +141,7 @@ class TestDecisionRule:
             # Entries also carry a tail state; compare the count fields.
             assert predictor._choice_table[predictor._choice_ctx][:2] == [1, 15]
             assert predictor._pair_table[predictor._pair_ctx][:2] == [0, 11]
-            assert binomial_pvalue_half(1, 15) == binomial_pvalue_half(0, 11) == 2**-10
+            assert reference.exact_pvalue(1, 15) == reference.exact_pvalue(0, 11) == 2**-10
             # The tie goes to the choice statistic; at alpha = 2**-10
             # neither statistic rejects.
             assert predictor.response_probability() == response
@@ -178,9 +178,9 @@ class TestDecisionRule:
             expected.observe(choice, reward)
 
 
-def reset_pvalue_state() -> None:
-    """Put ``binomial_pvalue_half``'s one tail state back at its start."""
-    agents._pvalue_state[:] = [0, 0, 1, 1]
+def walk_count(state: list[int], successes: int, trials: int) -> float:
+    """Walk ``state`` to the count ``successes`` of ``trials`` and return its p-value."""
+    return agents.walk_pvalue(state, min(successes, trials - successes), trials)
 
 
 @st.composite
@@ -191,11 +191,9 @@ def counts(draw, max_trials: int = 3000) -> tuple[int, int]:
 
 class TestExactPvalue:
     @settings(max_examples=200, deadline=None)
-    @given(count=counts(), clear=st.booleans())
-    def test_random_counts_are_exact(self, count: tuple[int, int], clear: bool) -> None:
-        if clear:
-            reset_pvalue_state()
-        assert binomial_pvalue_half(*count) == reference.exact_pvalue(*count)
+    @given(count=counts())
+    def test_random_counts_are_exact(self, count: tuple[int, int]) -> None:
+        assert walk_count([0, 0, 1, 1], *count) == reference.exact_pvalue(*count)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -207,39 +205,43 @@ class TestExactPvalue:
         self, start: tuple[int, int], steps: list[bool], clear_at: int
     ) -> None:
         # A predictor count gains one trial per visit, so after the first
-        # call every count is one step from the last one, except right
-        # after the state is reset.  Walks that start near balance cross
-        # balanced counts.
-        reset_pvalue_state()
+        # walk every count is one step from the last one, except right
+        # after a new state.  Walks that start near balance cross balanced
+        # counts.
+        state = [0, 0, 1, 1]
         successes, trials = start
         for index, success in enumerate(steps):
             if index == clear_at:
-                reset_pvalue_state()
-            assert binomial_pvalue_half(successes, trials) == reference.exact_pvalue(
+                state = [0, 0, 1, 1]
+            assert walk_count(state, successes, trials) == reference.exact_pvalue(
                 successes, trials
             ), (successes, trials)
             successes += success
             trials += 1
 
     def test_balanced_walk_is_exact(self) -> None:
-        reset_pvalue_state()
+        state = [0, 0, 1, 1]
         for trials in range(0, 300):
             successes = trials // 2
-            assert binomial_pvalue_half(successes, trials) == reference.exact_pvalue(
-                successes, trials
-            )
+            pvalue = walk_count(state, successes, trials)
+            assert pvalue == reference.exact_pvalue(successes, trials), trials
 
     def test_rejection_agrees_with_bdtr(self) -> None:
-        reset_pvalue_state()
         critical = agents.critical_tails(0.05, 2000)
+        state = [0, 0, 1, 1]
         for trials in range(0, 2001):
             successes = np.arange(trials + 1)
             tails = np.minimum(successes, trials - successes)
             expected = np.minimum(1.0, 2.0 * bdtr(tails, trials, 0.5)) < 0.05
             expected[2 * tails == trials] = False
-            actual = [binomial_pvalue_half(k, trials) < 0.05 for k in range(trials + 1)]
-            assert actual == expected.tolist(), trials
-            assert critical[trials] == tails[expected].max(initial=-1), trials
+            tail = critical[trials]
+            assert tail == tails[expected].max(initial=-1), trials
+            # The p-value grows with the tail, so a count rejects iff its
+            # tail is at most the critical tail: that tail rejects (when
+            # there is one) and the next does not.
+            if tail >= 0:
+                assert agents.walk_pvalue(state, tail, trials) < 0.05, trials
+            assert agents.walk_pvalue(state, tail + 1, trials) >= 0.05, trials
 
 
 @st.composite
@@ -337,7 +339,6 @@ class TestCriticalTails:
         alphas = (0.05, 0.01, 0.5, 1e-6, *ATTAINED_ALPHAS)
         last = 1000
         agents._critical.clear()
-        reset_pvalue_state()
         # Growth order must not matter: one list is grown to the end at
         # once, two are grown in turns one trial at a time, and the rest
         # in uneven strides.
@@ -349,9 +350,10 @@ class TestCriticalTails:
             for trials in range(0, last, 37):
                 agents.critical_tails(alpha, trials)
             lists[alpha] = agents.critical_tails(alpha, last)
+        state = [0, 0, 1, 1]
         for trials in range(last + 1):
             # Row by row, every count is one step from the last one.
-            pvalues = [binomial_pvalue_half(t, trials) for t in range(trials // 2 + 1)]
+            pvalues = [agents.walk_pvalue(state, t, trials) for t in range(trials // 2 + 1)]
             for alpha in alphas:
                 expected = max((t for t, p in enumerate(pvalues) if p < alpha), default=-1)
                 assert lists[alpha][trials] == expected, (alpha, trials)
@@ -374,13 +376,16 @@ class TestCriticalTails:
     def test_owners_interleaved_are_exact(
         self, alphas: list[float], steps: list[tuple[int, int, int, int]]
     ) -> None:
-        # binomial_pvalue_half's state and each level's own state are walked
-        # in turns; none may move another.
+        # A standalone state and each level's own state are walked in
+        # turns; none may move another.  A walk cannot lower its trials, so
+        # a count with fewer trials than the last starts a new state.
         agents._critical.clear()
-        reset_pvalue_state()
+        state = [0, 0, 1, 1]
         lists = {}
         for successes, trials, level, grow_to in steps:
-            pvalue = binomial_pvalue_half(successes, trials)
+            if trials < state[1]:
+                state = [0, 0, 1, 1]
+            pvalue = walk_count(state, successes, trials)
             assert pvalue == exact_pvalue(successes, trials), (successes, trials)
             alpha = alphas[level % len(alphas)]
             lists[alpha] = agents.critical_tails(alpha, grow_to)
@@ -393,8 +398,12 @@ class TestCriticalTails:
     def test_levels_bounded_and_exact_after_wide_sweep(self) -> None:
         agents._critical.clear()
         alphas = np.linspace(1e-4, 0.5, 200)
-        for alpha in alphas:
+        standalone = [0, 0, 1, 1]
+        for trials, alpha in enumerate(alphas):
             agents.critical_tails(float(alpha), 60)
+            # A standalone state walked between the growths stays exact.
+            pvalue = walk_count(standalone, trials // 3, trials)
+            assert pvalue == exact_pvalue(trials // 3, trials), trials
         assert 0 < len(agents._critical) <= agents._CRITICAL_LEVELS
         kept = [float(alpha) for alpha in alphas[-len(agents._critical) :]]
         assert list(agents._critical) == kept
@@ -402,9 +411,8 @@ class TestCriticalTails:
             # Each list's own tail state was last walked at its last trials.
             assert state[1] == len(critical) - 1
             for trials, tail in enumerate(critical):
-                pvalues = [binomial_pvalue_half(t, trials) for t in range(trials // 2 + 1)]
-                expected = max((t for t, p in enumerate(pvalues) if p < alpha), default=-1)
-                assert tail == expected, (alpha, trials)
+                rejecting = (t for t in range(trials // 2 + 1) if exact_pvalue(t, trials) < alpha)
+                assert tail == max(rejecting, default=-1), (alpha, trials)
 
 
 def test_import_loads_no_scipy() -> None:

@@ -74,6 +74,41 @@ class TestConfigs:
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             MatchingPenniesConfig(algorithm_id=0, seed=-1)
 
+    @pytest.mark.parametrize("bad", [1.5, 2.0, "2", None])
+    @pytest.mark.parametrize("field", ["steps", "seed", "delay"])
+    def test_triadic_non_integral_field_rejected(self, field: str, bad) -> None:
+        message = re.escape(f"{field} must be an integer, got {bad!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TriadicConfig(mode="b", **{field: bad})
+
+    @pytest.mark.parametrize("bad", [1.5, 2.0, "2", None])
+    @pytest.mark.parametrize("field", ["algorithm_id", "steps", "seed"])
+    def test_matching_pennies_non_integral_field_rejected(self, field: str, bad) -> None:
+        fields = {"algorithm_id": 1, field: bad}
+        message = re.escape(f"{field} must be an integer, got {bad!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            MatchingPenniesConfig(**fields)
+
+    @pytest.mark.parametrize("bad", [1.5, 1.0, "2", None])
+    def test_non_integral_lag_rejected(self, bad) -> None:
+        message = re.escape(f"lag must be an integer, got {bad!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TriadicConfig(mode="b", steps=10, taus=(1, bad))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            MatchingPenniesConfig(algorithm_id=0, steps=10, taus=(bad,))
+        log = run_triadic(TriadicConfig(mode="a", steps=10))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            measure_log(log, (bad,))
+
+    def test_integer_fields_are_stored_as_int(self) -> None:
+        config = TriadicConfig(
+            mode="b", steps=np.int64(10), seed=np.uint8(3), delay=np.int16(1), taus=(np.int32(2),)
+        )
+        assert (config.steps, config.seed, config.delay, config.taus) == (10, 3, 1, (2,))
+        assert {type(value) for value in (config.steps, config.seed, config.delay)} == {int}
+        config = MatchingPenniesConfig(algorithm_id=np.int8(2), steps=np.int64(10), taus=(1,))
+        assert type(config.algorithm_id) is int and type(config.steps) is int
+
     @pytest.mark.parametrize("alpha", [1.5, 0.0, -0.1, np.nan])
     def test_matching_pennies_bad_significance_level_rejected(self, alpha: float) -> None:
         with pytest.raises(ValueError, match="significance_level must lie in"):
