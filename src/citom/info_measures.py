@@ -20,25 +20,16 @@ less predictable than its parts) and is reported, never clamped.
 
 ``tdmi`` and ``excess_tdmi`` count only the occupied cells of the
 ``K x K`` lag-pair table, where ``K`` is the (joint) alphabet size, so
-they use memory proportional to ``T + K``, never ``K * K``.  Every series
-holds its symbols in the narrowest unsigned type of its alphabet (uint8
-for a binary agent, uint16 for a joint alphabet of 4096), so each product
-of symbols names the type it is built in.  A lag sorts
-its pair codes in place, in one array of the narrowest unsigned type, or
-counts them if the table has no more cells than pairs; it then holds an
-int64 row, column and probability per occupied cell.  A ``JointSeries``
-keeps its codes for all lags: the joint's, and those of each run of
-agents whose table ``excess_tdmi`` counts once, summing out the others
-for each member.  ``mutual_information`` takes a dense table's nonzero
-cells through the same MI function.  All are
-bit-identical to the dense reference in ``tests/info_reference.py``:
-counts are exact integers, probabilities the same quotients, and each
-marginal adds the same floats in the same order: a row's occupied cells
-in numpy's 8 lanes per block of 128 columns and up its pairwise tree (an
-empty slot adds ``+0.0``, which changes no sum), a column's with
-``np.bincount`` in row order, as the dense ``sum(axis=0)`` does.  Exact
-integer marginals would change the last bit of many results, and the
-bytes of ``measures.json``.  Counting requires ``K * K < 2**63``.
+they use memory proportional to ``T + K``, never ``K * K``.  The one
+counter, ``_lag_counts``, sorts a lag's pair codes in place, in the
+narrowest unsigned type, or counts them if the table has no more cells
+than pairs, and returns each occupied cell's int64 row, column and count,
+which every reader divides by the pairs once.  All are bit-identical to
+the dense reference in ``tests/info_reference.py``: the probabilities are
+the same quotients, and each marginal adds the same floats in the same
+order (a row's in ``_present_marginal``, a column's by ``np.bincount`` in
+row order, as ``sum(axis=0)`` does).  Exact integer marginals would change
+the last bit of many results, and the bytes of ``measures.json``.
 """
 
 from __future__ import annotations
@@ -70,7 +61,7 @@ _CHUNK_CELLS = 1 << 16
 _LANES, _BLOCK = 8, 128
 
 # Most cells in the lag-pair table of a run of agents that ``excess_tdmi``
-# counts together, so that a pair code fits in one byte.
+# counts together: any size is exact, and a small table is cheap to sum out.
 _GROUP_CELLS = 1 << 8
 
 _DIST_TOL = 1e-9
@@ -102,6 +93,17 @@ def _frozen(array: np.ndarray, dtype) -> np.ndarray:
     frozen = array.astype(dtype, copy=not (owner is None or isinstance(owner, bytes)))
     frozen.setflags(write=False)
     return frozen
+
+
+def _check_integers(values: np.ndarray, label: str) -> None:
+    """Raise ``ValueError`` naming ``label`` if ``values`` is empty or not all finite integers."""
+    if values.size == 0:
+        raise ValueError(f"{label} must be non-empty")
+    if values.dtype.kind not in "biu":
+        floats = values.astype(np.float64).ravel()
+        bad = np.flatnonzero(~np.isfinite(floats) | (floats != np.trunc(floats)))
+        if bad.size:
+            raise ValueError(f"{label} must be integers, got {floats[bad[0]]}")
 
 
 def _narrowest(alphabet_size: int) -> np.dtype:
@@ -147,11 +149,7 @@ class SymbolSeries:
             raise ValueError("series must contain at least one step")
         if self.alphabet_size < 1:
             raise ValueError(f"alphabet_size must be >= 1, got {self.alphabet_size}")
-        if symbols.dtype.kind not in "biu":
-            values = symbols.astype(np.float64)
-            bad = np.flatnonzero(~np.isfinite(values) | (values != np.trunc(values)))
-            if bad.size:
-                raise ValueError(f"symbols must be integers, got {values[bad[0]]}")
+        _check_integers(symbols, "symbols")
         if symbols.min() < 0 or symbols.max() >= self.alphabet_size:
             raise ValueError(
                 f"symbols must lie in [0, {self.alphabet_size}), "
@@ -218,10 +216,10 @@ class JointSeries:
             object.__setattr__(self, "_encoded", SymbolSeries(codes, size))
         return self._encoded
 
-    def _agent_groups(self) -> tuple[tuple[list[SymbolSeries], np.ndarray | None], ...]:
-        """Runs of consecutive agents whose lag-pair table has at most
-        ``_GROUP_CELLS`` cells, each with its uint8 codes (``None`` for one
-        agent), for ``excess_tdmi``.  Later calls return the first result."""
+    def _agent_groups(self) -> tuple[JointSeries | SymbolSeries, ...]:
+        """Runs of consecutive agents whose lag-pair table has at most ``_GROUP_CELLS``
+        cells, for ``excess_tdmi``: a ``JointSeries`` of several agents, encoded once
+        for all lags, or one agent's series.  Later calls return the first result."""
         if self._groups is None:
             runs, cells = [[]], 1
             for comp in self.components:
@@ -230,7 +228,7 @@ class JointSeries:
                     runs.append([])
                     cells = comp.alphabet_size**2
                 runs[-1].append(comp)
-            groups = tuple((run, _mixed_radix(run, np.uint8) if run[1:] else None) for run in runs)
+            groups = tuple(JointSeries(run) if run[1:] else run[0] for run in runs)
             object.__setattr__(self, "_groups", groups)
         return self._groups
 
@@ -264,12 +262,15 @@ class LagPairDistribution:
     def from_counts(cls, counts: np.ndarray, tau: int) -> "LagPairDistribution":
         """Normalise a square count matrix of (present, lagged) pairs."""
         counts = np.asarray(counts)
+        _check_integers(counts, "counts")
         if counts.min() < 0:
             raise ValueError("counts must be non-negative")
         total = int(counts.sum())
         if total == 0:
             raise ValueError("counts must contain at least one observation")
-        return cls(counts.astype(np.float64) / float(total), tau, total)
+        probs = np.divide(counts, float(total), dtype=np.float64)
+        probs.setflags(write=False)  # a fresh array, which ``_frozen`` need not copy
+        return cls(probs, tau, total)
 
     @classmethod
     def from_probabilities(
@@ -300,14 +301,14 @@ class MeasureReport:
         object.__setattr__(self, "excess", self.joint_tdmi - total)
 
 
-def _occupied_cells(
+def _lag_counts(
     series: SymbolSeries | JointSeries, tau: int
-) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, int]:
     """Occupied cells of the (present, lagged) table, in row-major order.
 
-    Returns ``(k, rows, cols, probs)``: the alphabet size and, per
-    occupied cell, its int64 row (present symbol) and column (lagged
-    symbol) and probability ``count / (T - tau)``.  Sorted codes give the
+    Returns ``(k, rows, cols, counts, pairs)``: the alphabet size, per
+    occupied cell its int64 row (present symbol), column (lagged symbol)
+    and count, and the number of pairs ``T - tau``.  Sorted codes give the
     cells and counts where a run of equal codes starts, found by one mask.
     """
     if isinstance(series, JointSeries):
@@ -321,22 +322,22 @@ def _occupied_cells(
             f"its square must be < 2**63"
         )
     symbols, pairs = series.symbols, len(series) - tau
-    dtype = np.int64 if k * k <= pairs else np.min_scalar_type(k * k - 1)  # narrowest to sort
+    dtype = np.min_scalar_type(k * k - 1)  # narrowest to sort; ``bincount`` casts it to intp
     codes = np.multiply(symbols[tau:], k, dtype=dtype, casting="unsafe")
     np.add(codes, symbols[:-tau], out=codes, dtype=dtype, casting="unsafe")
     if k * k <= pairs:  # a table no bigger than the pairs is cheaper to count than to sort
         table = np.bincount(codes, minlength=k * k)
         cells = np.flatnonzero(table)
-        probs = table[cells] / pairs
+        counts = table[cells]
     else:
         codes.sort()
         starts = np.ones(pairs, dtype=bool)
         np.not_equal(codes[1:], codes[:-1], out=starts[1:])
         starts = np.flatnonzero(starts)
-        cells, probs = codes[starts], np.diff(starts, append=pairs) / pairs
+        cells, counts = codes[starts], np.diff(starts, append=pairs)
         del codes, starts  # before the int64 rows and columns
     rows, cols = np.divmod(cells.astype(np.int64, copy=False), k)
-    return k, rows, cols, probs
+    return k, rows, cols, counts, pairs
 
 
 def _present_marginal(k: int, rows: np.ndarray, cols: np.ndarray, probs: np.ndarray) -> np.ndarray:
@@ -409,11 +410,10 @@ def build_lag_pairs(
     counted.  Requires ``1 <= tau < T``.  The table is dense, ``K x K``;
     ``tdmi`` gives its mutual information without building it.
     """
-    k, rows, cols, probs = _occupied_cells(series, tau)
-    table = np.zeros((k, k))
-    table[rows, cols] = probs
-    table.setflags(write=False)
-    return LagPairDistribution(table, tau, len(series) - tau)
+    k, rows, cols, counts, _ = _lag_counts(series, tau)
+    table = np.zeros((k, k), dtype=np.int64)
+    table[rows, cols] = counts
+    return LagPairDistribution.from_counts(table, tau)
 
 
 def mutual_information(distribution: LagPairDistribution) -> float:
@@ -435,10 +435,12 @@ def tdmi(series: SymbolSeries | JointSeries, tau: int) -> float:
     Pairs are formed for every ``t`` in ``[tau, T)``, so ``T - tau`` pairs
     are counted; requires ``1 <= tau < T``.  Equal, bit for bit, to
     ``mutual_information(build_lag_pairs(series, tau))`` and to the dense
-    reference in ``tests/info_reference.py``, without building the
-    ``K x K`` table.
+    reference in ``tests/info_reference.py``, without the ``K x K`` table.
     """
-    return _mutual_information(*_occupied_cells(series, tau))
+    k, rows, cols, counts, pairs = _lag_counts(series, tau)
+    probs = counts / pairs
+    del counts  # before the marginals, which are the lag's peak
+    return _mutual_information(k, rows, cols, probs)
 
 
 def excess_tdmi(joint: JointSeries, tau: int) -> MeasureReport:
@@ -455,16 +457,14 @@ def excess_tdmi(joint: JointSeries, tau: int) -> MeasureReport:
     """
     joint_value = tdmi(joint, tau)
     parts = []
-    for run, codes in joint._agent_groups():
-        if codes is None:
-            parts.append(tdmi(run[0], tau))
+    for run in joint._agent_groups():
+        if isinstance(run, SymbolSeries):
+            parts.append(tdmi(run, tau))
             continue
-        shape = [comp.alphabet_size for comp in run]
-        size, pairs = int(np.prod(shape)), len(codes) - tau
-        # Axes: each member's present symbol, then each member's lagged one.
-        table = np.bincount(codes[tau:] * size + codes[:-tau], minlength=size**2).reshape(shape * 2)
-        for agent in range(len(run)):
-            counts = table.sum(axis=tuple(a for a in range(table.ndim) if a % len(run) != agent))
-            rows, cols = np.nonzero(counts)  # row-major, as in ``_occupied_cells``
-            parts.append(_mutual_information(len(counts), rows, cols, counts[rows, cols] / pairs))
+        stride, rows, cols, counts, pairs = _lag_counts(run, tau)
+        for k in [comp.alphabet_size for comp in run.components]:  # most significant first
+            stride //= k
+            table = np.bincount(rows // stride % k * k + cols // stride % k, counts, k * k)
+            cells = np.flatnonzero(table)  # row-major, as in ``_lag_counts``
+            parts.append(_mutual_information(k, *np.divmod(cells, k), table[cells] / pairs))
     return MeasureReport(tau=tau, joint_tdmi=joint_value, per_agent_tdmi=tuple(parts))

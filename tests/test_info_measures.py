@@ -251,6 +251,32 @@ class TestLagPairDistribution:
         with pytest.raises(ValueError):
             LagPairDistribution(np.eye(2) / 2, 0)
 
+    @pytest.mark.parametrize(
+        ("counts", "message"),
+        [
+            # Fractions that sum to less than 1 were once truncated to no observation.
+            ([[0.4, 0.4], [0.1, 0.05]], r"^counts must be integers, got 0\.4$"),
+            ([[3.0, 1.5], [0.0, 4.0]], r"^counts must be integers, got 1\.5$"),
+            ([[1.0, np.nan], [0.0, 2.0]], r"^counts must be integers, got nan$"),
+            ([[1.0, 0.0], [np.inf, 2.0]], r"^counts must be integers, got inf$"),
+            (np.zeros((0, 0)), r"^counts must be non-empty$"),
+            ([[0, 0], [0, 0]], r"^counts must contain at least one observation$"),
+            ([[1, -1], [0, 2]], r"^counts must be non-negative$"),
+        ],
+        ids=["fractions", "half", "nan", "inf", "empty", "zeros", "negative"],
+    )
+    def test_from_counts_names_bad_counts(self, counts, message: str) -> None:
+        with pytest.raises(ValueError, match=message):
+            LagPairDistribution.from_counts(np.asarray(counts), 1)
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64, np.uint8, np.int32])
+    def test_from_counts_divides_in_float64(self, dtype) -> None:
+        # Sevenths are not exact in any float type, so a narrow quotient shows.
+        got = LagPairDistribution.from_counts(np.array([[3, 1], [0, 3]], dtype=dtype), 1)
+        want = np.array([[3, 1], [0, 3]]) / 7
+        assert got.probabilities.tobytes() == want.tobytes()
+        assert got.sample_count == 7
+
     @pytest.mark.parametrize("how", HANDED_OVER)
     def test_copies_an_array_the_caller_can_still_write(self, how: str) -> None:
         probabilities, overwrite = _handed_over([[0.5, 0.0], [0.0, 0.5]], np.float64, how)

@@ -108,23 +108,24 @@ class TestTdmi:
         assert tdmi(series, tau) == reference.tdmi(series, tau)
 
 
-def counted_cells(values: np.ndarray, tau: int) -> tuple[list[int], list[int], list[float]]:
-    """Rows, columns and probabilities of the occupied (present, lagged)
-    cells in row-major order, counted pair by pair with ``Counter``."""
+def counted_cells(values: np.ndarray, tau: int) -> tuple[list[int], list[int], list[int]]:
+    """Rows, columns and counts of the occupied (present, lagged) cells in
+    row-major order, counted pair by pair with ``Counter``."""
     counts = Counter(zip(values[tau:].tolist(), values[:-tau].tolist()))
     cells = sorted(counts)
-    pairs = len(values) - tau
-    return [r for r, _ in cells], [c for _, c in cells], [counts[cell] / pairs for cell in cells]
+    return [r for r, _ in cells], [c for _, c in cells], [counts[cell] for cell in cells]
 
 
-class TestOccupiedCells:
-    """``_occupied_cells`` against a pair-by-pair count, through each pair-code type."""
+class TestLagCounts:
+    """``_lag_counts`` against a pair-by-pair count, through each pair-code type."""
 
     @staticmethod
     def check(values: np.ndarray, alphabet: int, tau: int) -> None:
-        k, rows, cols, probs = info_measures._occupied_cells(SymbolSeries(values, alphabet), tau)
-        assert k == alphabet
-        assert (rows.tolist(), cols.tolist(), probs.tolist()) == counted_cells(values, tau)
+        series = SymbolSeries(values, alphabet)
+        k, rows, cols, counts, pairs = info_measures._lag_counts(series, tau)
+        assert (k, pairs) == (alphabet, len(values) - tau)
+        assert counts.dtype == np.int64 and int(counts.sum()) == pairs
+        assert (rows.tolist(), cols.tolist(), counts.tolist()) == counted_cells(values, tau)
         # ``np.bincount`` casts its input to intp "safely": uint64 would fail.
         assert np.can_cast(rows.dtype, np.intp) and np.can_cast(cols.dtype, np.intp)
 
@@ -250,9 +251,10 @@ class TestRowSums:
 
 
 # Cells per run of agents counted together: every agent alone, small
-# runs, and the default, under which an agent of 17 symbols or more is
-# alone and three binary agents are one run.
-GROUP_CELLS = st.sampled_from([1, 2**4, 2**6, info_measures._GROUP_CELLS])
+# runs, the default, under which an agent of 17 symbols or more is alone
+# and three binary agents are one run, and runs whose pair codes do not
+# fit in one byte.
+GROUP_CELLS = st.sampled_from([1, 2**4, 2**6, info_measures._GROUP_CELLS, 2**10, 2**12])
 
 
 @st.composite
@@ -302,7 +304,7 @@ class TestPerAgentGroups:
         joint = JointSeries(
             tuple(SymbolSeries(rng.integers(0, k, length), k) for k in alphabets)
         )
-        assert [len(run) for run, _ in joint._agent_groups()] == runs
+        assert [getattr(run, "n_agents", 1) for run in joint._agent_groups()] == runs
         for tau in range(1, length):
             parts = excess_tdmi(joint, tau).per_agent_tdmi
             assert parts == tuple(tdmi(c, tau) for c in joint.components)
@@ -321,8 +323,9 @@ class TestPerAgentGroups:
         joint = JointSeries(tuple(SymbolSeries(rng.integers(0, 2, 500), 2) for _ in range(10)))
         for tau in range(1, 8):
             excess_tdmi(joint, tau)
-        # The joint codes, then runs of four, four and two agents.
-        assert sorted(built) == [2, 4, 4, 10]
         groups = joint._agent_groups()
         assert joint._agent_groups() is groups
-        assert all(not codes.flags.writeable and codes.dtype == np.uint8 for _, codes in groups)
+        codes = [run.encode().symbols for run in groups]
+        assert all(not c.flags.writeable and c.dtype == np.uint8 for c in codes)
+        # The joint codes, then runs of four, four and two agents.
+        assert sorted(built) == [2, 4, 4, 10]
