@@ -2,10 +2,10 @@
 
 Four subcommands::
 
-    citom simulate-triadic --mode {a,b} [--steps N] [--delay D] [--seed S]
-                           [--taus LIST] --out DIR
-    citom simulate-mp      --algo {0,1,2} [--steps N] [--seed S]
-                           [--taus LIST] --out DIR
+    citom simulate-triadic [--steps N] [--seed S] [--taus LIST] --out DIR
+                           --mode {a,b} [--delay D]
+    citom simulate-mp      [--steps N] [--seed S] [--taus LIST] --out DIR
+                           --algo {0,1,2}
     citom measure          --input series.csv [--taus LIST] --out DIR
     citom pikl-demo        [--config config.json]
                            [--mode {diagnostic,coupled}] --out DIR
@@ -15,6 +15,8 @@ The simulate commands write ``episode.csv``, ``series.csv``,
 ``measure`` writes the two measure files for an externally supplied
 series; ``pikl-demo`` writes ``report.json``.  Each command prints a
 summary table (lag, joint TDMI, per-agent TDMI, excess) to stdout.
+The simulate commands share their run flags, and a flag left out takes
+the default of its field in ``TriadicConfig`` or ``MatchingPenniesConfig``.
 
 Exit status: 0 on success, 2 on usage errors (bad flags or values), 1 on
 runtime failures (unreadable or malformed files, alphabets too large to
@@ -96,47 +98,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
+    # The flags both simulate commands share.  No simulate flag has a
+    # default of its own: an absent flag leaves the config's default in force.
+    run = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    run.add_argument("--steps", type=int)
+    run.add_argument("--seed", type=int)
+    run.add_argument("--taus", type=_parse_taus, help="comma-separated lags, e.g. 1,2,3")
+    run.add_argument("--out", required=True, help="output directory")
+
+    simulate = {"parents": [run], "argument_default": argparse.SUPPRESS}
     triadic = commands.add_parser(
-        "simulate-triadic",
-        help="run the orchestrated triad and measure the log",
+        "simulate-triadic", **simulate, help="run the orchestrated triad and measure the log"
     )
     triadic.add_argument("--mode", choices=("a", "b"), required=True,
                          help="a: signal reporting only; b: game reconfiguration")
-    triadic.add_argument("--steps", type=int, default=100_000)
-    triadic.add_argument("--delay", type=int, default=1,
+    triadic.add_argument("--delay", type=int,
                          help="steps between emission and the workers' response")
-    triadic.add_argument("--seed", type=int, default=0)
-    triadic.add_argument("--taus", type=_parse_taus, default=(1, 2, 3),
-                         help="comma-separated lags, e.g. 1,2,3")
-    triadic.add_argument("--out", required=True, help="output directory")
-    triadic.set_defaults(
-        handler=_cmd_simulate,
-        build_config=lambda args: TriadicConfig(
-            mode=args.mode, steps=args.steps, seed=args.seed, delay=args.delay,
-            taus=args.taus,
-        ),
-        run=run_triadic,
-        episode_csv_text=triadic_episode_csv_text,
-    )
+    triadic.set_defaults(handler=_cmd_simulate, config_type=TriadicConfig, run=run_triadic,
+                         episode_csv_text=triadic_episode_csv_text)
 
     pennies = commands.add_parser(
-        "simulate-mp",
-        help="run matching pennies and measure the log",
+        "simulate-mp", **simulate, help="run matching pennies and measure the log"
     )
-    pennies.add_argument("--algo", type=int, choices=(0, 1, 2), required=True,
-                         help="computer opponent escalation level")
-    pennies.add_argument("--steps", type=int, default=10_000)
-    pennies.add_argument("--seed", type=int, default=0)
-    pennies.add_argument("--taus", type=_parse_taus, default=(1, 2, 3))
-    pennies.add_argument("--out", required=True, help="output directory")
-    pennies.set_defaults(
-        handler=_cmd_simulate,
-        build_config=lambda args: MatchingPenniesConfig(
-            algorithm_id=args.algo, steps=args.steps, seed=args.seed, taus=args.taus
-        ),
-        run=run_matching_pennies,
-        episode_csv_text=matching_pennies_episode_csv_text,
-    )
+    pennies.add_argument("--algo", dest="algorithm_id", type=int, choices=(0, 1, 2),
+                         required=True, help="computer opponent escalation level")
+    pennies.set_defaults(handler=_cmd_simulate, config_type=MatchingPenniesConfig,
+                         run=run_matching_pennies,
+                         episode_csv_text=matching_pennies_episode_csv_text)
 
     measure = commands.add_parser(
         "measure",
@@ -197,9 +185,12 @@ def _finish_measured_run(
 
 
 def _cmd_simulate(args, parser: argparse.ArgumentParser) -> int:
-    """Simulate with the subcommand's config, runner and episode writer."""
+    """Simulate with the subcommand's config, runner and episode writer.
+
+    The config takes each parsed value that names one of its fields."""
+    fields = {field.name for field in dataclasses.fields(args.config_type)}
     try:
-        config = args.build_config(args)
+        config = args.config_type(**{k: v for k, v in vars(args).items() if k in fields})
     except ValueError as exc:
         parser.error(str(exc))
     log = args.run(config)

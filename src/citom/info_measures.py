@@ -262,6 +262,8 @@ class LagPairDistribution:
     def from_counts(cls, counts: np.ndarray, tau: int) -> "LagPairDistribution":
         """Normalise a square count matrix of (present, lagged) pairs."""
         counts = np.asarray(counts)
+        if counts.ndim != 2 or counts.shape[0] != counts.shape[1]:
+            raise ValueError(f"counts must be square, got shape {counts.shape}")
         _check_integers(counts, "counts")
         if counts.min() < 0:
             raise ValueError("counts must be non-negative")

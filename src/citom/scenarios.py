@@ -18,14 +18,17 @@ predictor; per trial the computer draws first, then the learner, the
 learner is rewarded on a match and the computer on a mismatch, and both
 update.  All randomness flows through one seeded generator in that fixed
 order, so identical configurations replay identical episodes.
+
+Both configs share one run check, and both logs derive from
+:class:`EpisodeLog`, which symbolises and sizes either one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import exp
 from operator import index
-from typing import Iterable
+from typing import ClassVar, Iterable
 
 import numpy as np
 
@@ -61,10 +64,16 @@ def _integer(name: str, value) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
-def _integer_fields(config, *names: str) -> None:
-    """Store each named field of the frozen ``config`` as an ``int``, or raise ``ValueError``."""
-    for name in names:
+def _check_run(config, *integers: str) -> None:
+    """Store ``steps``, ``seed`` and each of ``integers`` of the frozen ``config`` as an
+    ``int``, check ``steps >= 2`` and ``seed >= 0`` and validate ``taus``, or raise."""
+    for name in ("steps", "seed", *integers):
         object.__setattr__(config, name, _integer(name, getattr(config, name)))
+    if config.steps < 2:
+        raise ValueError(f"steps must be >= 2, got {config.steps}")
+    if config.seed < 0:
+        raise ValueError(f"seed must be >= 0, got {config.seed}")
+    object.__setattr__(config, "taus", validated_taus(config.taus, config.steps))
 
 
 def validated_taus(taus: Iterable[int], steps: int) -> tuple[int, ...]:
@@ -94,20 +103,15 @@ class TriadicConfig:
     def __post_init__(self) -> None:
         if self.mode not in ("a", "b"):
             raise ValueError(f"mode must be 'a' or 'b', got {self.mode!r}")
-        _integer_fields(self, "steps", "seed", "delay")
-        if self.steps < 2:
-            raise ValueError(f"steps must be >= 2, got {self.steps}")
+        _check_run(self, "delay")
         if self.delay < 0:
             raise ValueError(f"delay must be >= 0, got {self.delay}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
         # The orchestrator's own checks: the amplitude's range, then a sign
         # that calibrates (from 2**-54 down, ``1 - amplitude`` rounds to 1).
         # Then the utilities' own check of the revenue share's range.
         Orchestrator(1, self.amplitude)
         Orchestrator.calibrated(self.amplitude)
         triadic_utilities(0.0, COOPERATE, COOPERATE, self.revenue_share)
-        object.__setattr__(self, "taus", validated_taus(self.taus, self.steps))
 
 
 @dataclass(frozen=True)
@@ -123,29 +127,45 @@ class MatchingPenniesConfig:
     inverse_temperature: float = 3.0
 
     def __post_init__(self) -> None:
-        _integer_fields(self, "algorithm_id", "steps", "seed")
+        _check_run(self, "algorithm_id")
         # The agents' own checks, run when the config is built.
         check_predictor_settings(self.algorithm_id, self.significance_level)
-        if self.steps < 2:
-            raise ValueError(f"steps must be >= 2, got {self.steps}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
         DeltaRuleLearner(self.learning_rate, self.inverse_temperature)
-        object.__setattr__(self, "taus", validated_taus(self.taus, self.steps))
 
 
-def _spin_to_symbol(values: np.ndarray) -> SymbolSeries:
-    return SymbolSeries(values > 0, 2)  # converted to uint8 once
+class EpisodeLog:
+    """Base of the episode records: a ``config`` field, then the per-step
+    columns, each made read-only.  ``index`` names ``episode.csv``'s step
+    column and ``agent_names`` the columns that make up the measured state."""
+
+    index: ClassVar[str]
+    agent_names: ClassVar[tuple[str, ...]]
+
+    def __post_init__(self) -> None:
+        for field in fields(self)[1:]:
+            getattr(self, field.name).setflags(write=False)
+
+    def __len__(self) -> int:
+        return len(getattr(self, self.agent_names[0]))
+
+    def joint_series(self) -> JointSeries:
+        """Symbolise the measured state: each agent column as the binary
+        symbol ``value > 0``, which maps the triad's -1/+1 spins and the
+        pennies' 0/1 choices alike."""
+        return JointSeries(
+            tuple(SymbolSeries(getattr(self, name) > 0, 2) for name in self.agent_names)
+        )
 
 
 @dataclass(frozen=True)
-class TriadicLog:
+class TriadicLog(EpisodeLog):
     """Per-step record of an orchestrated-triad episode.
 
     ``coupling`` is the effective-game parameter in force at each step
     (0 in mode "a", where the game is never modulated); utilities always
     equal the triadic utilities of the recorded (coupling, x2, x3), and
-    ``value`` flags rounds of mutual worker cooperation.
+    ``value`` flags rounds of mutual worker cooperation.  Utilities and
+    the raw signal are not part of the measured state.
     """
 
     config: TriadicConfig
@@ -159,23 +179,12 @@ class TriadicLog:
     u3: np.ndarray
     value: np.ndarray
 
+    index = "step"
     agent_names = ("x1", "x2", "x3")
-
-    def __len__(self) -> int:
-        return int(self.signal.size)
-
-    def joint_series(self) -> JointSeries:
-        """Symbolise the measured state (x1, x2, x3); sign maps to {0, 1}.
-
-        Utilities and the raw signal are not part of the measured state.
-        """
-        return JointSeries(
-            (_spin_to_symbol(self.x1), _spin_to_symbol(self.x2), _spin_to_symbol(self.x3))
-        )
 
 
 @dataclass(frozen=True)
-class MatchingPenniesLog:
+class MatchingPenniesLog(EpisodeLog):
     """Per-trial record of a matching-pennies episode (actions 0/1)."""
 
     config: MatchingPenniesConfig
@@ -184,22 +193,8 @@ class MatchingPenniesLog:
     monkey_reward: np.ndarray
     computer_reward: np.ndarray
 
+    index = "trial"
     agent_names = ("monkey", "computer")
-
-    def __len__(self) -> int:
-        return int(self.monkey.size)
-
-    def joint_series(self) -> JointSeries:
-        """Symbolise the measured state (monkey, computer choices)."""
-        return JointSeries(
-            (
-                SymbolSeries(self.monkey, 2),
-                SymbolSeries(self.computer, 2),
-            )
-        )
-
-
-EpisodeLog = TriadicLog | MatchingPenniesLog
 
 
 def run_triadic(config: TriadicConfig) -> TriadicLog:
@@ -244,20 +239,7 @@ def run_triadic(config: TriadicConfig) -> TriadicLog:
     u1, u2, u3 = utilities.take(codes, axis=1)
     value_flag = ((x2 == COOPERATE) & (x3 == COOPERATE)).astype(np.int64)
 
-    for array in (signal, x1, coupling, x2, x3, u1, u2, u3, value_flag):
-        array.setflags(write=False)
-    return TriadicLog(
-        config=config,
-        signal=signal,
-        x1=x1,
-        coupling=coupling,
-        x2=x2,
-        x3=x3,
-        u1=u1,
-        u2=u2,
-        u3=u3,
-        value=value_flag,
-    )
+    return TriadicLog(config, signal, x1, coupling, x2, x3, u1, u2, u3, value_flag)
 
 
 def run_matching_pennies(config: MatchingPenniesConfig) -> MatchingPenniesLog:
@@ -339,15 +321,7 @@ def run_matching_pennies(config: MatchingPenniesConfig) -> MatchingPenniesLog:
     computer = np.frombuffer(computer_choices, dtype=np.uint8).astype(np.int64)
     monkey_reward = (monkey == computer).astype(np.int64)
     computer_reward = 1 - monkey_reward
-    for array in (monkey, computer, monkey_reward, computer_reward):
-        array.setflags(write=False)
-    return MatchingPenniesLog(
-        config=config,
-        monkey=monkey,
-        computer=computer,
-        monkey_reward=monkey_reward,
-        computer_reward=computer_reward,
-    )
+    return MatchingPenniesLog(config, monkey, computer, monkey_reward, computer_reward)
 
 
 def measure_log(log: EpisodeLog, taus: Iterable[int] | None = None) -> tuple[MeasureReport, ...]:

@@ -98,7 +98,7 @@ def parse_series_csv(path: Path | str) -> SeriesFile:
     alphabet: tuple[int, ...] | None = None
     names: tuple[str, ...] | None = None
     columns: list[list[int]] = []
-    with path.open("r", encoding="utf-8") as handle:
+    with path.open("r", encoding="utf-8-sig") as handle:
         for line_no, raw in enumerate(handle, start=1):
             line = raw.strip()
             if not line:

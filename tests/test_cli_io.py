@@ -6,6 +6,8 @@ determinism is asserted as byte equality of emitted artifacts.
 
 from __future__ import annotations
 
+import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -18,7 +20,7 @@ import pytest
 
 import citom
 from citom import io as citom_io
-from citom.cli import PIKL_DEMO_DEFAULTS, main
+from citom.cli import PIKL_DEMO_DEFAULTS, build_parser, main
 from citom.info_measures import JointSeries, SymbolSeries, excess_tdmi
 from citom.io import (
     BLOCK_ROWS,
@@ -193,6 +195,23 @@ class TestParseSeriesCsv:
             assert ours.alphabet_size == theirs.alphabet_size
         assert b"".join(series_csv_text(parsed)) == text.encode("utf-8")
 
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path: Path) -> None:
+        log = run_triadic(TriadicConfig(mode="b", steps=50))
+        series = SeriesFile(log.agent_names, log.joint_series())
+        path = tmp_path / "series.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + b"".join(series_csv_text(series)))
+        parsed = parse_series_csv(path)
+        assert parsed.names == series.names
+        for ours, theirs in zip(series.series.components, parsed.series.components, strict=True):
+            np.testing.assert_array_equal(ours.symbols, theirs.symbols)
+            assert ours.alphabet_size == theirs.alphabet_size
+        # A mark before the comment or before the header alike.
+        for text, size in (("\ufeff# alphabet_size: 3\nx\n0\n1\n0\n", 3), ("\ufeffx\n0\n1\n0\n", 2)):
+            parsed = parse_series_csv(write_series(tmp_path, text))
+            assert parsed.names == ("x",)
+            component = parsed.series.components[0]
+            assert (component.symbols.tolist(), component.alphabet_size) == ([0, 1, 0], size)
+
     @pytest.mark.parametrize(
         ("text", "match"),
         [
@@ -365,6 +384,39 @@ class TestCliSimulate:
         payload = json.loads((out / "measures.json").read_text())
         assert payload["agents"] == ["monkey", "computer"]
         assert payload["config"]["algorithm_id"] == 0
+
+    @pytest.mark.parametrize(
+        ("argv", "config"),
+        [
+            (["simulate-mp", "--algo", "1"], MatchingPenniesConfig(1)),
+            (["simulate-triadic", "--mode", "b"], TriadicConfig("b")),
+        ],
+        ids=["simulate-mp", "simulate-triadic"],
+    )
+    def test_absent_flags_take_the_config_defaults(
+        self, tmp_path: Path, capsys, argv: list[str], config
+    ) -> None:
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        payload = json.loads((tmp_path / "measures.json").read_text())
+        assert payload["config"] == json.loads(json.dumps(dataclasses.asdict(config)))
+
+    def test_every_simulate_flag_names_a_config_field(self) -> None:
+        # A flag whose value no config field takes would be dropped silently.
+        commands = next(
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        simulate = {
+            name: sub for name, sub in commands.choices.items()
+            if sub.get_default("config_type") is not None
+        }
+        assert set(simulate) == {"simulate-triadic", "simulate-mp"}
+        for name, sub in simulate.items():
+            fields = {field.name for field in dataclasses.fields(sub.get_default("config_type"))}
+            for action in sub._actions:
+                if not {"-h", "--out"} & set(action.option_strings):
+                    assert action.dest in fields, (name, action.option_strings)
 
     def test_identical_invocations_are_byte_identical(self, tmp_path: Path) -> None:
         argv = ["simulate-triadic", "--mode", "b", "--steps", "1500", "--seed", "7"]

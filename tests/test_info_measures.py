@@ -262,8 +262,12 @@ class TestLagPairDistribution:
             (np.zeros((0, 0)), r"^counts must be non-empty$"),
             ([[0, 0], [0, 0]], r"^counts must contain at least one observation$"),
             ([[1, -1], [0, 2]], r"^counts must be non-negative$"),
+            ([1, 2, 3], r"^counts must be square, got shape \(3,\)$"),
+            ([[1, 2, 3], [4, 5, 6]], r"^counts must be square, got shape \(2, 3\)$"),
+            ([[[1]]], r"^counts must be square, got shape \(1, 1, 1\)$"),
         ],
-        ids=["fractions", "half", "nan", "inf", "empty", "zeros", "negative"],
+        ids=["fractions", "half", "nan", "inf", "empty", "zeros", "negative",
+             "vector", "wide", "cube"],
     )
     def test_from_counts_names_bad_counts(self, counts, message: str) -> None:
         with pytest.raises(ValueError, match=message):

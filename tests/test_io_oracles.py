@@ -250,7 +250,8 @@ def series_texts(draw) -> str:
         text = ",".join(map(str, declared_sizes))
         header = [f"# alphabet_size: {text}", "", *header]
     newline = draw(st.sampled_from(["\n", "\r\n"]))
-    return newline.join(["# produced by a test", *header, *lines]) + newline
+    mark = draw(st.sampled_from(["", "\ufeff"]))  # a leading byte-order mark, or none
+    return mark + newline.join(["# produced by a test", *header, *lines]) + newline
 
 
 # Tokens the fast path takes: 1 to 18 ASCII digits, leading zeros allowed.
@@ -310,7 +311,8 @@ def fast_series_texts(draw) -> str:
         sizes = ",".join(str(max(1, int(top) + shift)) for top in values.max(axis=0))
         header = ["# produced by a test", f"# alphabet_size: {sizes}", "", *header]
     ending = draw(st.sampled_from(["\n", ""]))
-    return "\n".join([*header, *lines]) + ending
+    mark = draw(st.sampled_from(["", "\ufeff"]))  # a leading byte-order mark, or none
+    return mark + "\n".join([*header, *lines]) + ending
 
 
 def parse_outcome(parse, path: Path):

@@ -7,6 +7,7 @@ information-theoretic summaries use statistical tolerances.
 
 from __future__ import annotations
 
+import dataclasses
 import re
 
 import numpy as np
@@ -137,6 +138,18 @@ class TestConfigs:
             MatchingPenniesConfig(algorithm_id=0, steps=200, inverse_temperature=bad)
         with pytest.raises(ValueError, match="learning_rate"):
             MatchingPenniesConfig(algorithm_id=0, steps=200, learning_rate=bad)
+
+
+class TestLogs:
+    def test_every_column_is_read_only(self) -> None:
+        logs = (
+            run_triadic(TriadicConfig(mode="b", steps=10)),
+            run_matching_pennies(MatchingPenniesConfig(algorithm_id=2, steps=10)),
+        )
+        for log in logs:
+            assert isinstance(log, scenarios.EpisodeLog) and len(log) == 10
+            for field in dataclasses.fields(log)[1:]:
+                assert not getattr(log, field.name).flags.writeable, field.name
 
 
 class TestTriadicModeA:
