@@ -54,6 +54,7 @@ from .io import (
     triadic_episode_csv_text,
 )
 from .scenarios import (
+    DEFAULT_TAUS,
     MatchingPenniesConfig,
     TriadicConfig,
     measure_log,
@@ -131,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="measure an existing symbol-series CSV",
     )
     measure.add_argument("--input", required=True, help="series CSV path")
-    measure.add_argument("--taus", type=_parse_taus, default=(1, 2, 3))
+    measure.add_argument("--taus", type=_parse_taus, default=DEFAULT_TAUS)
     measure.add_argument("--out", required=True, help="output directory")
     measure.set_defaults(handler=_cmd_measure)
 

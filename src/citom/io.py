@@ -241,30 +241,34 @@ def _digit_rows(chunk: np.ndarray, lines: int, width: int) -> np.ndarray | None:
 
 
 def _read_body(body: np.ndarray, width: int, line_no: int) -> np.ndarray:
-    """The data rows of ``body``, whose first line is line ``line_no``, as
-    the columns of one read-only ``(width, rows)`` array.  Each block is kept
-    in the narrowest unsigned type up to uint32 that holds it, else int64
-    (a symbol below 0 or of 2**32 or more), and joining takes the widest."""
-    # Line r ends at stops[r]: its line feed, or the end of the file.
-    stops = np.flatnonzero(body == ord("\n"))
-    if body.size and body[-1] != ord("\n"):
-        stops = np.append(stops, body.size)
-    blocks, start = [np.empty((width, 0), dtype=np.uint8)], 0
-    for first in range(0, stops.size, BLOCK_ROWS):
-        block_stops = stops[first : first + BLOCK_ROWS]
-        chunk = body[start : block_stops[-1] + 1]  # with its line feed, if any
-        start = block_stops[-1] + 1
-        rows = _digit_rows(chunk, block_stops.size, width)
+    """The data rows of ``body``, whose first line is line ``line_no``, filled a block
+    at a time into the columns of one read-only ``(width, rows)`` array: uint8 until a
+    block needs the narrowest unsigned type up to uint32 that holds it, else int64 (a
+    symbol below 0 or of 2**32 or more).  Line feeds are found a window at a time."""
+    ends, lines, window = [], 0, 16 * BLOCK_ROWS  # each block's end: past its last line feed
+    for start in range(0, body.size, window):
+        feeds = np.flatnonzero(body[start : start + window] == ord("\n"))
+        ends += (feeds[BLOCK_ROWS - 1 - lines % BLOCK_ROWS :: BLOCK_ROWS] + start + 1).tolist()
+        lines += feeds.size
+    if body.size > (ends or [0])[-1]:  # the last block, through an unterminated last line
+        ends.append(body.size)
+        lines += int(body[-1] != ord("\n"))
+    columns = np.empty((width, lines), dtype=np.uint8)
+    filled = start = 0
+    for first, end in zip(range(0, lines, BLOCK_ROWS), ends):
+        chunk = body[start:end]
+        rows = _digit_rows(chunk, min(BLOCK_ROWS, lines - first), width)
         if rows is None:
             rows = _convert_lines(chunk.tobytes().splitlines(), line_no + first, width)
         if rows.dtype != np.uint8:  # one-digit tokens come as uint8
             low, high = rows.min(initial=0), rows.max(initial=0)  # 0 if no rows
-            # No uint64, which would join int64 as float64.
-            rows = rows.astype(np.min_scalar_type(high) if 0 <= low and high < 2**32 else np.int64)
-        blocks.append(rows.T)
-    columns = np.concatenate(blocks, axis=1)
+            # No uint64, which would promote with int64 to float64.
+            narrow = np.min_scalar_type(high) if 0 <= low and high < 2**32 else np.int64
+            columns = columns.astype(np.promote_types(columns.dtype, narrow), copy=False)
+        columns[:, filled : filled + len(rows)] = rows.T
+        filled, start = filled + len(rows), end
     columns.setflags(write=False)  # so each series keeps its row uncopied
-    return columns
+    return columns[:, :filled]
 
 
 def parse_series_csv(path: Path | str) -> SeriesFile:

@@ -54,7 +54,10 @@ __all__ = [
     "run_triadic",
     "run_matching_pennies",
     "measure_log",
+    "DEFAULT_TAUS",
 ]
+
+DEFAULT_TAUS = (1, 2, 3)  # the lags measured when none are named
 
 
 def _integer(name: str, value) -> int:
@@ -96,7 +99,7 @@ class TriadicConfig:
     steps: int = 100_000
     seed: int = 0
     delay: int = 1
-    taus: tuple[int, ...] = (1, 2, 3)
+    taus: tuple[int, ...] = DEFAULT_TAUS
     amplitude: float = 0.25
     revenue_share: float = 0.1
 
@@ -121,7 +124,7 @@ class MatchingPenniesConfig:
     algorithm_id: int
     steps: int = 10_000
     seed: int = 0
-    taus: tuple[int, ...] = (1, 2, 3)
+    taus: tuple[int, ...] = DEFAULT_TAUS
     significance_level: float = 0.05
     learning_rate: float = 0.2
     inverse_temperature: float = 3.0
@@ -165,7 +168,9 @@ class TriadicLog(EpisodeLog):
     (0 in mode "a", where the game is never modulated); utilities always
     equal the triadic utilities of the recorded (coupling, x2, x3), and
     ``value`` flags rounds of mutual worker cooperation.  Utilities and
-    the raw signal are not part of the measured state.
+    the raw signal are not part of the measured state.  ``signal``, ``x2``,
+    ``x3`` and ``value`` are int8, the rest float64; in mode "b", ``coupling``
+    and ``x1`` view one buffer: the warm-up amplitude, then the emission.
     """
 
     config: TriadicConfig
@@ -185,7 +190,7 @@ class TriadicLog(EpisodeLog):
 
 @dataclass(frozen=True)
 class MatchingPenniesLog(EpisodeLog):
-    """Per-trial record of a matching-pennies episode (actions 0/1)."""
+    """Per-trial record of a matching-pennies episode: int8 0/1 actions and rewards."""
 
     config: MatchingPenniesConfig
     monkey: np.ndarray
@@ -211,16 +216,16 @@ def run_triadic(config: TriadicConfig) -> TriadicLog:
     """
     rng = np.random.default_rng(config.seed)
     steps = config.steps
-    signal = rng.integers(0, 2, size=steps).astype(np.int64) * 2 - 1
+    signal = rng.integers(0, 2, size=steps).astype(np.int8) * 2 - 1  # the int64 draw fixes the stream
 
     if config.mode == "a":
-        x1 = signal.astype(np.float64)
-        coupling = np.zeros(steps)
+        x1, coupling = signal.astype(np.float64), np.zeros(steps)
     else:
         orchestrator = Orchestrator.calibrated(config.amplitude)
-        x1 = (orchestrator.sign * config.amplitude) * signal
         warmup = min(config.delay, steps)
-        coupling = np.concatenate((np.full(warmup, config.amplitude), x1[: steps - warmup]))
+        emission = np.full(warmup + steps, config.amplitude)
+        np.multiply(orchestrator.sign * config.amplitude, signal, out=emission[warmup:])
+        coupling, x1 = emission[:steps], emission[warmup:]
 
     # The coupling takes few distinct values, so resolve the workers'
     # equilibrium response and the utilities once per value and gather
@@ -228,7 +233,7 @@ def run_triadic(config: TriadicConfig) -> TriadicLog:
     # boundary, where they defect.  (``return_inverse`` also keeps
     # ``np.unique`` from importing ``numpy.ma``.)
     values, codes = np.unique(coupling, return_inverse=True)
-    actions = np.empty((2, values.size), dtype=np.int64)
+    actions = np.empty((2, values.size), dtype=np.int8)
     utilities = np.empty((3, values.size))
     for index, value in enumerate(values.tolist()):
         table = effective_game(EffectiveGameParam(value))
@@ -237,7 +242,7 @@ def run_triadic(config: TriadicConfig) -> TriadicLog:
         utilities[:, index] = triadic_utilities(value, a2, a3, config.revenue_share)
     x2, x3 = actions.take(codes, axis=1)
     u1, u2, u3 = utilities.take(codes, axis=1)
-    value_flag = ((x2 == COOPERATE) & (x3 == COOPERATE)).astype(np.int64)
+    value_flag = ((x2 == COOPERATE) & (x3 == COOPERATE)).astype(np.int8)
 
     return TriadicLog(config, signal, x1, coupling, x2, x3, u1, u2, u3, value_flag)
 
@@ -281,7 +286,7 @@ def run_matching_pennies(config: MatchingPenniesConfig) -> MatchingPenniesLog:
     # Each agent draws one uniform per trial and plays 1 below its
     # probability of action 1, computer first: uniform 2t is the
     # computer's and 2t+1 the learner's, all from one batched draw.  Byte
-    # arrays take the actions, converted once after the loop.
+    # arrays take the actions and become the int8 columns uncopied.
     draws = iter(rng.random(2 * steps).tolist())
     monkey_choices = bytearray(steps)
     computer_choices = bytearray(steps)
@@ -317,9 +322,9 @@ def run_matching_pennies(config: MatchingPenniesConfig) -> MatchingPenniesLog:
             value0 += learning_rate * (reward - value0)
         monkey_choices[t] = m
         computer_choices[t] = c
-    monkey = np.frombuffer(monkey_choices, dtype=np.uint8).astype(np.int64)
-    computer = np.frombuffer(computer_choices, dtype=np.uint8).astype(np.int64)
-    monkey_reward = (monkey == computer).astype(np.int64)
+    monkey = np.frombuffer(monkey_choices, dtype=np.int8)
+    computer = np.frombuffer(computer_choices, dtype=np.int8)
+    monkey_reward = (monkey == computer).astype(np.int8)
     computer_reward = 1 - monkey_reward
     return MatchingPenniesLog(config, monkey, computer, monkey_reward, computer_reward)
 

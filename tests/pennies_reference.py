@@ -150,14 +150,15 @@ class ReferenceLearner:
 def run_matching_pennies(
     config: MatchingPenniesConfig,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``(monkey, computer, monkey_reward, computer_reward)``, one draw per agent per trial."""
+    """``(monkey, computer, monkey_reward, computer_reward)`` as int8, one draw
+    per agent per trial."""
     rng = np.random.default_rng(config.seed)
     predictor = ReferencePredictor(config.algorithm_id, config.significance_level)
     learner = ReferenceLearner(config.learning_rate, config.inverse_temperature)
     steps = config.steps
-    monkey = np.empty(steps, dtype=np.int64)
-    computer = np.empty(steps, dtype=np.int64)
-    monkey_reward = np.empty(steps, dtype=np.int64)
+    monkey = np.empty(steps, dtype=np.int8)
+    computer = np.empty(steps, dtype=np.int8)
+    monkey_reward = np.empty(steps, dtype=np.int8)
     for t in range(steps):
         c = predictor.choose(rng)
         m = 1 if rng.random() < learner.action_probability() else 0

@@ -12,11 +12,12 @@ import json
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+from traced_peak import traced_peak
 
 import citom
 from citom import io as citom_io
@@ -298,12 +299,7 @@ class TestEpisodeRenderers:
         steps = 8 * BLOCK_ROWS + 3
         log = run_triadic(TriadicConfig(mode="b", steps=steps, seed=0))
         target = tmp_path / "episode.csv"
-        tracemalloc.start()
-        try:
-            atomic_write_text(target, triadic_episode_csv_text(log))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(atomic_write_text, target, triadic_episode_csv_text(log))
         block_bytes = target.stat().st_size * BLOCK_ROWS / steps
         assert peak < 3 * block_bytes
 
@@ -452,6 +448,20 @@ class TestCliSimulate:
             (measure_out / "measures.csv").read_bytes()
             == (sim_out / "measures.csv").read_bytes()
         )
+
+    def test_measure_defaults_to_the_configs_lags(self, tmp_path: Path, capsys) -> None:
+        # With no --taus, citom measure takes the lags every config takes,
+        # so it reproduces a simulate run's measures with no flag either.
+        sim_out, measure_out = tmp_path / "sim", tmp_path / "measured"
+        assert main(["simulate-triadic", "--mode", "b", "--steps", "300", "--out", str(sim_out)]) == 0
+        series = str(sim_out / "series.csv")
+        assert main(["measure", "--input", series, "--out", str(measure_out)]) == 0
+        capsys.readouterr()
+        payload = json.loads((measure_out / "measures.json").read_text())
+        assert payload["config"]["taus"] == [entry["tau"] for entry in payload["measures"]]
+        assert tuple(payload["config"]["taus"]) == TriadicConfig("b").taus
+        assert tuple(payload["config"]["taus"]) == MatchingPenniesConfig(0).taus
+        assert (measure_out / "measures.csv").read_bytes() == (sim_out / "measures.csv").read_bytes()
 
     def test_measure_matches_direct_computation(self, tmp_path: Path) -> None:
         rng = np.random.default_rng(5)

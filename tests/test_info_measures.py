@@ -7,7 +7,6 @@ import os
 import re
 import subprocess
 import sys
-import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -16,6 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from traced_peak import traced_peak
 
 from citom import info_measures
 from citom.info_measures import (
@@ -511,12 +512,7 @@ class TestResourceBounds:
     )
     def test_peak_memory(self, agents: int, steps: int, bound: int) -> None:
         joint = _binary_agents(agents, steps, seed=6)
-        tracemalloc.start()
-        try:
-            excess_tdmi(joint, 1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(excess_tdmi, joint, 1)
         assert peak < bound
 
     def test_one_lag_peak_memory(self) -> None:
@@ -526,30 +522,25 @@ class TestResourceBounds:
         # to 7.4 MiB.
         joint = _binary_agents(12, 200_000, seed=6)
         joint.encode()
-        tracemalloc.start()
-        try:
-            excess_tdmi(joint, 1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(excess_tdmi, joint, 1)
         assert peak < 6.5 * 2**20
 
     def test_parse_peak_memory(self, tmp_path: Path) -> None:
-        # The columns come back as uint8, 2.3 MiB, and the parse peaks at
-        # about 11 MiB; int64 columns alone would be 18.3 MiB.
+        # The columns come back as uint8, 2.29 MiB; int64 columns alone would
+        # be 18.3 MiB.  Each bound is the measured peak plus a margin of about
+        # 0.4 MiB.  With "\n", the peak is the 4.58 MiB of file bytes and the
+        # columns filled in place, line feeds found a window at a time:
+        # 7.11 MiB (a mask and an index of every line feed, then the blocks
+        # joined, took 10.70).  With "\r\n", it is the 4.77 MiB read and its
+        # 4.58 MiB copy with "\n" line ends: 9.35 MiB, before the body is parsed.
         names = tuple(f"a{i + 1}" for i in range(12))
         joint = _binary_agents(len(names), 200_000, seed=7)
         text = b"".join(series_csv_text(SeriesFile(names, joint)))
         path = tmp_path / "series.csv"
-        for newline in (b"\n", b"\r\n"):
+        for newline, bound in ((b"\n", 7.5), (b"\r\n", 9.75)):
             path.write_bytes(text.replace(b"\n", newline))
-            tracemalloc.start()
-            try:
-                parsed = parse_series_csv(path)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak < 16 * 2**20, newline
+            parsed, peak = traced_peak(parse_series_csv, path)
+            assert peak < bound * 2**20, newline
             assert {c.symbols.dtype for c in parsed.series.components} == {np.dtype(np.uint8)}
             assert parsed.series.encode().symbols.dtype == np.uint16
 

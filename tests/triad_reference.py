@@ -24,14 +24,15 @@ from citom.scenarios import TriadicConfig
 
 
 def run_triadic(config: TriadicConfig) -> tuple[np.ndarray, ...]:
-    """``(signal, x1, coupling, x2, x3, u1, u2, u3, value)`` of one episode."""
+    """``(signal, x1, coupling, x2, x3, u1, u2, u3, value)`` of one episode;
+    the signal, the workers' actions and ``value`` are int8."""
     rng = np.random.default_rng(config.seed)
     steps = config.steps
     signal = rng.integers(0, 2, size=steps).astype(np.int64) * 2 - 1
     if config.mode == "b":
         emission = Orchestrator.calibrated(config.amplitude).sign * config.amplitude
     x1, coupling = np.empty(steps), np.empty(steps)
-    x2, x3, value = (np.empty(steps, dtype=np.int64) for _ in range(3))
+    x2, x3, value = (np.empty(steps, dtype=np.int8) for _ in range(3))
     u1, u2, u3 = np.empty(steps), np.empty(steps), np.empty(steps)
     for t in range(steps):
         s = int(signal[t])
@@ -51,4 +52,4 @@ def run_triadic(config: TriadicConfig) -> tuple[np.ndarray, ...]:
             float(coupling[t]), int(x2[t]), int(x3[t]), config.revenue_share
         )
         value[t] = int(x2[t] == COOPERATE and x3[t] == COOPERATE)
-    return signal, x1, coupling, x2, x3, u1, u2, u3, value
+    return signal.astype(np.int8), x1, coupling, x2, x3, u1, u2, u3, value
