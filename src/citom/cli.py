@@ -20,9 +20,10 @@ the default of its field in ``TriadicConfig`` or ``MatchingPenniesConfig``.
 
 Exit status: 0 on success, 2 on usage errors (bad flags or values), 1 on
 runtime failures (unreadable or malformed files, alphabets too large to
-count, or not enough memory).  Given the same
-configuration and seed, two invocations produce byte-identical
-artifacts.
+count, or not enough memory).  Given the same configuration and seed, two
+invocations produce byte-identical artifacts.  The first :func:`main` call
+freezes the objects then alive (the import-time heap, no garbage), so exit
+skips collecting them; a long-lived process should call the library instead.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from __future__ import annotations
 import argparse
 import copy
 import dataclasses
+import gc
 import json
 import operator
 import sys
@@ -377,6 +379,9 @@ def _cmd_pikl_demo(args, parser: argparse.ArgumentParser) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command.  Its first call freezes the import-time heap: exit's collections skip it."""
+    if not gc.get_freeze_count():  # first call in this process
+        gc.freeze()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

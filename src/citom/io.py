@@ -35,8 +35,8 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import dataclass, fields
-from io import BytesIO
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -65,6 +65,7 @@ ALPHABET_KEY = "alphabet_size"
 # Rows rendered or parsed per step, and per chunk a CSV writer yields:
 # bounds the cells, tokens and text held at once, however long the series.
 BLOCK_ROWS = 4096
+_WINDOW = 16 * BLOCK_ROWS  # bytes of a series file scanned at a time
 
 
 class ParseError(ValueError):
@@ -126,12 +127,12 @@ def _parse_alphabet_comment(line: str, line_no: int) -> tuple[int, ...] | None:
     return sizes
 
 
-def _read_header(buffer: BytesIO):
-    """Consume ``buffer``'s lines through the header; return the declared
-    alphabet, if any, the column names and the header's line number."""
+def _read_header(data: bytearray, start: int):
+    """Read ``data``'s lines from ``start`` through the header; return the declared
+    alphabet, if any, the column names, the header's line number and its end."""
     alphabet: tuple[int, ...] | None = None
-    for line_no, raw in enumerate(buffer, start=1):
-        line = _decoded(raw, line_no).strip()
+    for line_no, raw in enumerate(re.compile(rb".*\n?").finditer(data, start), start=1):
+        line = _decoded(raw[0], line_no).strip()
         if line.startswith("#"):
             alphabet = _parse_alphabet_comment(line, line_no) or alphabet
         elif line:
@@ -140,7 +141,7 @@ def _read_header(buffer: BytesIO):
                 raise ParseError(f"line {line_no}: empty column name in header")
             if len(set(parts)) != len(parts):
                 raise ParseError(f"line {line_no}: duplicate column names")
-            return alphabet, tuple(parts), line_no
+            return alphabet, tuple(parts), line_no, raw.end()
     raise ParseError("line 1: missing header row")
 
 
@@ -245,9 +246,9 @@ def _read_body(body: np.ndarray, width: int, line_no: int) -> np.ndarray:
     at a time into the columns of one read-only ``(width, rows)`` array: uint8 until a
     block needs the narrowest unsigned type up to uint32 that holds it, else int64 (a
     symbol below 0 or of 2**32 or more).  Line feeds are found a window at a time."""
-    ends, lines, window = [], 0, 16 * BLOCK_ROWS  # each block's end: past its last line feed
-    for start in range(0, body.size, window):
-        feeds = np.flatnonzero(body[start : start + window] == ord("\n"))
+    ends, lines = [], 0  # each block's end: past its last line feed
+    for start in range(0, body.size, _WINDOW):
+        feeds = np.flatnonzero(body[start : start + _WINDOW] == ord("\n"))
         ends += (feeds[BLOCK_ROWS - 1 - lines % BLOCK_ROWS :: BLOCK_ROWS] + start + 1).tolist()
         lines += feeds.size
     if body.size > (ends or [0])[-1]:  # the last block, through an unterminated last line
@@ -282,16 +283,25 @@ def parse_series_csv(path: Path | str) -> SeriesFile:
     first bad line of a file.
     """
     path = Path(path)
-    data = path.read_bytes()
-    if b"\r" in data:  # as in text mode, "\r\n" and a lone "\r" end a line
-        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    buffer = BytesIO(data)
-    if data.startswith(b"\xef\xbb\xbf"):  # a byte-order mark, skipped as "utf-8-sig" does
-        buffer.seek(3)
-    alphabet, names, line_no = _read_header(buffer)
-    body = np.frombuffer(data, dtype=np.uint8)[buffer.tell() :]
+    data = bytearray(path.stat().st_size)  # a regular file's size; 0 for a pipe
+    with path.open("rb") as file:
+        del data[file.readinto(data) :]
+        while chunk := file.read(_WINDOW):  # a pipe, or what a growing file gained
+            data += chunk
+    if b"\r" in data:  # as in text mode, "\r\n" and a lone "\r" end a line; each
+        read = write = 0  # becomes "\n" in place, a window at a time, so the file is held once
+        while read < len(data):
+            end = min(read + _WINDOW, len(data))
+            end -= end < len(data) and data[end - 1] == ord("\r")  # its "\n" may start the next
+            lines = data[read:end].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            data[write : write + len(lines)] = lines
+            read, write = end, write + len(lines)
+        del data[write:]
+    start = 3 if data.startswith(b"\xef\xbb\xbf") else 0  # a byte-order mark, as "utf-8-sig"
+    alphabet, names, line_no, start = _read_header(data, start)
+    body = np.frombuffer(data, dtype=np.uint8)[start:]
     columns = _read_body(body, len(names), line_no + 1)
-    del data, buffer, body  # the bytes are released before the checks
+    del data, body  # the bytes are released before the checks
     if columns.shape[1] == 0:
         raise ParseError(f"no data rows under header for {path}")
     if alphabet is not None and len(alphabet) != len(names):

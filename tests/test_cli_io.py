@@ -142,6 +142,13 @@ class TestAtomicWrite:
         assert list(tmp_path.iterdir()) == [target]
 
 
+def child_env() -> dict[str, str]:
+    """The environment of a child interpreter that imports this citom."""
+    src = str(Path(citom.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
 def write_series(tmp_path: Path, text: str) -> Path:
     path = tmp_path / "series.csv"
     path.write_text(text, encoding="utf-8")
@@ -260,6 +267,26 @@ class TestParseSeriesCsv:
         assert [c.symbols.dtype for c in components] == [np.uint32, np.uint8, np.uint64]
         assert [int(c.symbols[-1]) for c in components] == [70_000, 0, 999_999_999_999_999_999]
         assert [c.alphabet_size for c in components] == [70_001, 2, 10**18]
+
+    @pytest.mark.parametrize("ending", [b"\r\n", b"\r", b"\r\r\n"], ids=["crlf", "cr", "cr-crlf"])
+    def test_line_end_across_rewrite_windows(self, tmp_path: Path, ending: bytes) -> None:
+        # Line ends are rewritten in place one window at a time; here the
+        # window's last byte is the "\r" that opens ``ending``.  A "\r\n" split
+        # into two line ends would add a blank line, so a later error names
+        # the wrong line.
+        lead = b"x,y\r\n0,1\r#"
+        comment = lead + b"-" * (citom_io._WINDOW - 1 - len(lead))
+        assert len(comment) == citom_io._WINDOW - 1
+        path = tmp_path / "series.csv"
+        path.write_bytes(comment + ending + b"1,0\r\n0,0\r1,1\n")
+        parsed = parse_series_csv(path)
+        assert [c.symbols.tolist() for c in parsed.series.components] == [
+            [0, 1, 0, 1], [1, 0, 0, 1]
+        ]
+        line = 4 + ending.count(b"\r")  # the bad row after "1,0"
+        path.write_bytes(comment + ending + b"1,0\r\n0,x\r\n")
+        with pytest.raises(ParseError, match=f"^line {line}: not an integer symbol"):
+            parse_series_csv(path)
 
     def test_series_file_name_arity(self) -> None:
         joint = JointSeries((SymbolSeries(np.array([0, 1]), 2),))
@@ -498,10 +525,6 @@ class TestCliSimulate:
     )
     def test_measure_reads_a_pipe(self, tmp_path: Path, data: bytes) -> None:
         # The file can be read only once, as from a shell pipe.
-        src = str(Path(citom.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])
-        ))
         path = tmp_path / "series.csv"
         path.write_bytes(data)
         measures = []
@@ -510,7 +533,7 @@ class TestCliSimulate:
             result = subprocess.run(
                 [sys.executable, "-m", "citom.cli", "measure", "--input", source,
                  "--taus", "1", "--out", str(out)],
-                input=stdin, env=env, capture_output=True,
+                input=stdin, env=child_env(), capture_output=True,
             )
             assert result.returncode == 0, result.stderr
             measures.append((out / "measures.csv").read_bytes())
@@ -579,6 +602,82 @@ class TestCliPiklDemo:
             ["pikl-demo", "--config", str(config_path), "--out", str(tmp_path / "o")]
         ) == 0
         assert json.dumps(PIKL_DEMO_DEFAULTS, sort_keys=True) == before
+
+
+TRIAD_ARGV = ["simulate-triadic", "--mode", "b", "--steps", "5000"]
+
+
+class TestCliProcess:
+    """The CLI as its own process: ``main`` freezes the import-time heap once,
+    and shutdown still flushes and closes everything."""
+
+    def run_child(self, code: str) -> dict:
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        return json.loads(result.stdout)
+
+    def test_first_main_freezes_the_heap_once(self, tmp_path: Path) -> None:
+        # A fresh interpreter, so this test leaves the test process unfrozen.
+        facts = self.run_child(f"""
+import contextlib, gc, io, json
+import citom, citom.cli
+facts = {{"unreachable": gc.collect(), "before": gc.get_freeze_count()}}
+with contextlib.redirect_stdout(io.StringIO()):
+    for run in ("first", "second"):
+        citom.cli.main({TRIAD_ARGV!r} + ["--out", {str(tmp_path)!r}])
+        facts[run] = gc.get_freeze_count()
+facts["enabled"] = gc.isenabled()
+print(json.dumps(facts))
+""")
+        # The premise: the imports leave no garbage for the freeze to keep.
+        assert facts["unreachable"] == 0 and facts["before"] == 0
+        assert facts["first"] > 0 and facts["enabled"]
+        assert facts["second"] == facts["first"]
+
+    def test_library_leaves_the_collector_alone(self) -> None:
+        facts = self.run_child("""
+import gc, json
+import citom
+from citom.io import columns_csv_text
+log = citom.run_triadic(citom.TriadicConfig(mode="b", steps=2000))
+reports = citom.measure_log(log)
+b"".join(columns_csv_text(["x1"], [log.x1]))
+print(json.dumps({"frozen": gc.get_freeze_count(), "enabled": gc.isenabled()}))
+""")
+        assert facts == {"frozen": 0, "enabled": True}
+
+    def test_shutdown_flushes_and_closes_every_artifact(
+        self, tmp_path: Path, capsys: pytest.CaptureFixture[str]
+    ) -> None:
+        out = tmp_path / "child"
+        result = subprocess.run(
+            [sys.executable, "-m", "citom.cli", *TRIAD_ARGV, "--out", str(out)],
+            env=child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        same = tmp_path / "in-process"
+        assert main([*TRIAD_ARGV, "--out", str(same)]) == 0
+        table, wrote = capsys.readouterr().out.rsplit("\n", 2)[:2]
+        assert result.stdout == f"{table}\n{wrote.replace(str(same), str(out))}\n"
+        assert result.stdout.startswith("tau  joint_tdmi")
+        assert not list(out.glob("*.tmp"))
+        names = ["episode.csv", "series.csv", "measures.csv", "measures.json"]
+        assert sorted(path.name for path in out.iterdir()) == sorted(names)
+        for name in names:
+            assert (out / name).read_bytes() == (same / name).read_bytes(), name
+
+    def test_failing_run_exits_one_with_one_error_line(self, tmp_path: Path) -> None:
+        result = subprocess.run(
+            [sys.executable, "-m", "citom.cli", "measure", "--input",
+             str(tmp_path / "missing.csv"), "--out", str(tmp_path / "out")],
+            env=child_env(), capture_output=True, text=True,
+        )
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith("error: ")
 
 
 class TestCliFailureModes:
