@@ -265,6 +265,13 @@ def _float(value) -> float:
     return float(_float_array(float(value)))
 
 
+def _labels(value) -> tuple[str, ...] | None:
+    """``None``, or a list of strings as a tuple."""
+    if not (value is None or isinstance(value, list) and all(isinstance(v, str) for v in value)):
+        raise ValueError(f"must be null or a list of strings, got {value!r}")
+    return None if value is None else tuple(value)
+
+
 def _config_value(config: dict, key: str, convert=_float_array):
     """``convert(config.get(key))``; a value it rejects is reported
     against its key."""
@@ -282,10 +289,7 @@ def run_pikl_demo(config: dict, mode: ObjectiveMode) -> dict:
     and the anchored/unified objective values of that response.
     """
     space = LatentTypeSpace(
-        _config_value(config, "prior"),
-        _config_value(
-            config, "type_labels", lambda labels: tuple(labels) if labels else None
-        ),
+        _config_value(config, "prior"), _config_value(config, "type_labels", _labels)
     )
     channel = Channel(_config_value(config, "channel"))
     conditional = Policy(_config_value(config, "conditional_policy"), "tsa")

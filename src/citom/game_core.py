@@ -30,6 +30,8 @@ from typing import ClassVar, Iterable, Sequence
 
 import numpy as np
 
+from .info_measures import frozen
+
 __all__ = [
     "COOPERATE",
     "DEFECT",
@@ -97,8 +99,8 @@ def profile_actions(
 class GameTable:
     """Normal-form payoffs of an n-player binary-action game.
 
-    ``payoffs[p, i]`` is player ``p``'s payoff at the profile with flat
-    index ``i`` (see :func:`profile_index` for the ordering).
+    ``payoffs[p, i]`` is player ``p``'s payoff at the profile with flat index
+    ``i`` (see :func:`profile_index`), kept read-only: a writable input is copied.
     """
 
     n_players: int
@@ -113,8 +115,7 @@ class GameTable:
             raise ValueError(f"payoffs must have shape {expected}, got {payoffs.shape}")
         if not np.isfinite(payoffs).all():
             raise ValueError("payoffs must be finite")
-        payoffs.setflags(write=False)
-        object.__setattr__(self, "payoffs", payoffs)
+        object.__setattr__(self, "payoffs", frozen(payoffs, np.float64))
 
     @classmethod
     def two_player(cls, row: np.ndarray, col: np.ndarray) -> "GameTable":
@@ -137,12 +138,12 @@ class GameTable:
 class UtilityPolynomial:
     """Multilinear expansion of one player's payoff over action spins.
 
-    ``cofactors[mask]`` is the coefficient of ``prod_{j in S} x_j`` where
-    bit ``n - 1 - j`` of ``mask`` flags player ``j``'s membership in
-    ``S`` (the same bit layout as profile indices).  The recorded
-    convention states what spin the polynomial's inputs use; converting a
-    polynomial between conventions negates every odd-cardinality
-    coefficient.
+    ``cofactors[mask]`` (read-only; a writable input is copied) is the
+    coefficient of ``prod_{j in S} x_j`` where bit ``n - 1 - j`` of ``mask``
+    flags player ``j``'s membership in ``S`` (the bit layout of profile
+    indices).  The recorded convention states what spin the polynomial's
+    inputs use; converting it between conventions negates every
+    odd-cardinality coefficient.
     """
 
     n_players: int
@@ -156,8 +157,7 @@ class UtilityPolynomial:
                 f"cofactors must have shape ({1 << self.n_players},), "
                 f"got {cofactors.shape}"
             )
-        cofactors.setflags(write=False)
-        object.__setattr__(self, "cofactors", cofactors)
+        object.__setattr__(self, "cofactors", frozen(cofactors, np.float64))
 
     def cofactor(self, players: Iterable[int] = ()) -> float:
         """Coefficient of the monomial over the given player subset."""

@@ -83,16 +83,16 @@ def as_distribution(values: np.ndarray | Sequence[float], label: str) -> np.ndar
     return dist
 
 
-def _frozen(array: np.ndarray, dtype) -> np.ndarray:
-    """``array`` as read-only ``dtype``, copied if it or what it views is writable.  A read-only
-    array that owns its memory is trusted, though numpy lets that owner turn writing back on;
-    only a copy closes that gap, and the parser's no-copy hand-over avoids that copy on purpose."""
+def frozen(array: np.ndarray, dtype) -> np.ndarray:
+    """``array`` as read-only ``dtype``, copied if it or what it views is writable: the freeze rule
+    of ``SymbolSeries``, ``LagPairDistribution`` and the ``game_core`` and ``tom_policy`` objects.
+    A read-only owner, such as a parsed column, is kept without a copy (numpy could unlock it)."""
     owner = array
     while isinstance(owner, np.ndarray) and not owner.flags.writeable:
         owner = owner.base
-    frozen = array.astype(dtype, copy=not (owner is None or isinstance(owner, bytes)))
-    frozen.setflags(write=False)
-    return frozen
+    kept = array.astype(dtype, copy=not (owner is None or isinstance(owner, bytes)))
+    kept.setflags(write=False)
+    return kept
 
 
 def _check_integers(values: np.ndarray, label: str) -> None:
@@ -155,7 +155,7 @@ class SymbolSeries:
                 f"symbols must lie in [0, {self.alphabet_size}), "
                 f"found range [{symbols.min()}, {symbols.max()}]"
             )
-        object.__setattr__(self, "symbols", _frozen(symbols, _narrowest(self.alphabet_size)))
+        object.__setattr__(self, "symbols", frozen(symbols, _narrowest(self.alphabet_size)))
 
     def __len__(self) -> int:
         return int(self.symbols.size)
@@ -256,7 +256,7 @@ class LagPairDistribution:
         if self.sample_count < 0:
             raise ValueError(f"sample_count must be >= 0, got {self.sample_count}")
         as_distribution(probs.ravel(), "probabilities")
-        object.__setattr__(self, "probabilities", _frozen(probs, np.float64))
+        object.__setattr__(self, "probabilities", frozen(probs, np.float64))
 
     @classmethod
     def from_counts(cls, counts: np.ndarray, tau: int) -> "LagPairDistribution":
@@ -271,7 +271,7 @@ class LagPairDistribution:
         if total == 0:
             raise ValueError("counts must contain at least one observation")
         probs = np.divide(counts, float(total), dtype=np.float64)
-        probs.setflags(write=False)  # a fresh array, which ``_frozen`` need not copy
+        probs.setflags(write=False)  # a fresh array, which ``frozen`` need not copy
         return cls(probs, tau, total)
 
     @classmethod

@@ -137,9 +137,10 @@ class MatchingPenniesConfig:
 
 
 class EpisodeLog:
-    """Base of the episode records: a ``config`` field, then the per-step
-    columns, each made read-only.  ``index`` names ``episode.csv``'s step
-    column and ``agent_names`` the columns that make up the measured state."""
+    """Base of the episode records: a ``config`` field, then the per-step columns, made
+    read-only in place, not copied by ``frozen``: a log owns the arrays its simulation has just
+    made, and a copy would double the int8 columns and split ``x1`` and ``coupling``'s buffer.
+    ``index`` names ``episode.csv``'s step column and ``agent_names`` the measured columns."""
 
     index: ClassVar[str]
     agent_names: ClassVar[tuple[str, ...]]

@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .info_measures import as_distribution
+from .info_measures import as_distribution, frozen
 
 __all__ = [
     "LatentTypeSpace",
@@ -56,7 +56,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LatentTypeSpace:
-    """Finite set of latent partner types with a prior."""
+    """Finite set of latent partner types with a prior; a writable prior is copied."""
 
     prior: np.ndarray
     labels: tuple[str, ...] | None = None
@@ -65,13 +65,12 @@ class LatentTypeSpace:
         prior = as_distribution(self.prior, "prior")
         if self.labels is not None and len(self.labels) != prior.size:
             raise ValueError("labels must match the number of types")
-        prior.setflags(write=False)
-        object.__setattr__(self, "prior", prior)
+        object.__setattr__(self, "prior", frozen(prior, np.float64))
 
 
 @dataclass(frozen=True)
 class Channel:
-    """Message likelihoods per type: ``likelihood[t, m] = P(m | t)``."""
+    """Message likelihoods per type, ``likelihood[t, m] = P(m | t)``; a writable input is copied."""
 
     likelihood: np.ndarray
 
@@ -81,8 +80,7 @@ class Channel:
             raise ValueError(f"likelihood must be 2-D, got shape {lik.shape}")
         for row in lik:
             as_distribution(row, "likelihood row")
-        lik.setflags(write=False)
-        object.__setattr__(self, "likelihood", lik)
+        object.__setattr__(self, "likelihood", frozen(lik, np.float64))
 
     @property
     def n_types(self) -> int:
@@ -95,24 +93,23 @@ class Channel:
 
 @dataclass(frozen=True)
 class BeliefState:
-    """A normalised belief over latent types."""
+    """A normalised belief over latent types; a writable posterior is copied."""
 
     posterior: np.ndarray
 
     def __post_init__(self) -> None:
         posterior = as_distribution(self.posterior, "posterior")
-        posterior.setflags(write=False)
-        object.__setattr__(self, "posterior", posterior)
+        object.__setattr__(self, "posterior", frozen(posterior, np.float64))
 
 
 @dataclass(frozen=True)
 class Policy:
     """Conditional action distributions with named axes.
 
-    The last axis always ranges over actions and every slice along it
-    must be a distribution.  ``axes`` documents the leading axes, e.g.
-    ``"sa"`` for state-conditioned, ``"tsa"`` for type- then
-    state-conditioned, ``"sma"`` for state- then message-conditioned.
+    The last axis always ranges over actions and every slice along it must
+    be a distribution; a writable table is copied.  ``axes`` names the
+    leading axes, e.g. ``"sa"`` for state-conditioned, ``"tsa"`` for type-
+    then state-conditioned, ``"sma"`` for state- then message-conditioned.
     """
 
     table: np.ndarray
@@ -130,8 +127,7 @@ class Policy:
         flat = table.reshape(-1, table.shape[-1])
         for row in flat:
             as_distribution(row, "policy row")
-        table.setflags(write=False)
-        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "table", frozen(table, np.float64))
 
     @property
     def n_actions(self) -> int:
@@ -363,8 +359,8 @@ class ObjectiveParams:
 
     ``q_values`` drive greedy/anchored responses; ``rewards`` (defaulting
     to the Q-values) are what the expectation term pays out.  Both tables
-    must be finite, and both regularisation weights finite and
-    non-negative.
+    must be finite (a writable one is copied), and both regularisation
+    weights finite and non-negative.
     """
 
     q_values: np.ndarray
@@ -378,8 +374,7 @@ class ObjectiveParams:
             raise ValueError(f"q_values must be 2-D, got shape {q.shape}")
         if not np.isfinite(q).all():
             raise ValueError("q_values must be finite")
-        q.setflags(write=False)
-        object.__setattr__(self, "q_values", q)
+        object.__setattr__(self, "q_values", frozen(q, np.float64))
         if self.rewards is not None:
             rewards = np.asarray(self.rewards, dtype=np.float64)
             if rewards.shape != q.shape:
@@ -388,8 +383,7 @@ class ObjectiveParams:
                 )
             if not np.isfinite(rewards).all():
                 raise ValueError("rewards must be finite")
-            rewards.setflags(write=False)
-            object.__setattr__(self, "rewards", rewards)
+            object.__setattr__(self, "rewards", frozen(rewards, np.float64))
         if not (isfinite(self.lambda_anchor) and isfinite(self.lambda_tom)):
             raise ValueError("regularisation weights must be finite")
         if self.lambda_anchor < 0.0 or self.lambda_tom < 0.0:

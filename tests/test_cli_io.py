@@ -798,6 +798,33 @@ class TestCliFailureModes:
             err = capsys.readouterr().err
             assert err.count("error:") == 1 and f"'{key}'" in err, err
 
+    @pytest.mark.parametrize(
+        "labels",
+        ["ab", {"aligned": 1, "adversarial": 2}, "", [1, 2], ["aligned", 2], 3],
+        ids=["string", "dict", "empty string", "numbers", "mixed", "number"],
+    )
+    def test_type_labels_must_be_null_or_strings(
+        self, tmp_path: Path, capsys, labels
+    ) -> None:
+        # A string or a dict would be taken apart into labels; only JSON
+        # null or a list of strings names the types.
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"type_labels": labels}))
+        code = main(["pikl-demo", "--config", str(config_path), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: config key 'type_labels': must be null or a list of strings, "
+            f"got {labels!r}\n"
+        )
+
+    @pytest.mark.parametrize("labels", [None, ["a", "b"]], ids=["null", "strings"])
+    def test_type_labels_null_or_strings_run(self, tmp_path: Path, labels) -> None:
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"type_labels": labels}))
+        out = tmp_path / "o"
+        assert main(["pikl-demo", "--config", str(config_path), "--out", str(out)]) == 0
+        assert json.loads((out / "report.json").read_text())["config"]["type_labels"] == labels
+
     @pytest.mark.parametrize("agents", [40, 64])
     def test_alphabet_too_large_exits_one(
         self, tmp_path: Path, capsys, agents: int

@@ -555,7 +555,7 @@ class TestResourceBounds:
         series = SeriesFile(names, _binary_agents(5, 300, seed=1))
         path.write_bytes(b"".join(series_csv_text(series)))
         copied: list[tuple[int, ...]] = []
-        frozen = info_measures._frozen
+        frozen = info_measures.frozen
 
         def spy(array: np.ndarray, dtype) -> np.ndarray:
             result = frozen(array, dtype)
@@ -563,7 +563,7 @@ class TestResourceBounds:
                 copied.append(array.shape)
             return result
 
-        monkeypatch.setattr(info_measures, "_frozen", spy)
+        monkeypatch.setattr(info_measures, "frozen", spy)
         logs = [
             run_triadic(TriadicConfig(mode="b", steps=300, seed=2)),
             run_matching_pennies(MatchingPenniesConfig(algorithm_id=1, steps=300)),
