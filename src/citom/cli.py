@@ -29,6 +29,7 @@ skips collecting them; a long-lived process should call the library instead.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import dataclasses
 import gc
@@ -272,13 +273,25 @@ def _labels(value) -> tuple[str, ...] | None:
     return None if value is None else tuple(value)
 
 
-def _config_value(config: dict, key: str, convert=_float_array):
-    """``convert(config.get(key))``; a value it rejects is reported
-    against its key."""
+# How ``run_pikl_demo`` converts a config value; any other key takes ``_float_array``.
+_CONVERSIONS = {
+    "type_labels": _labels,
+    "rewards": lambda value: None if value is None else _float_array(value),
+    "lambda_anchor": _float,
+    "lambda_tom": _float,
+    "state": operator.index,
+}
+
+
+@contextlib.contextmanager
+def _config_keys(*keys: str):
+    """Report a value the block rejects against the config ``keys`` it was built from."""
     try:
-        return convert(config.get(key))
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"config key {key!r}: {exc}") from exc
+        yield
+    except (TypeError, ValueError, OverflowError) as exc:
+        *rest, last = map(repr, keys)
+        named = f"keys {', '.join(rest)} and {last}" if rest else f"key {last}"
+        raise ParseError(f"config {named}: {exc}") from exc
 
 
 def run_pikl_demo(config: dict, mode: ObjectiveMode) -> dict:
@@ -286,54 +299,61 @@ def run_pikl_demo(config: dict, mode: ObjectiveMode) -> dict:
 
     Covers the whole pipeline: posterior per message, induced partner
     mixtures, message selection, the anchored best response per state,
-    and the anchored/unified objective values of that response.
+    and the anchored/unified objective values of that response.  A value
+    that fails is reported against the config keys it came from.
     """
-    space = LatentTypeSpace(
-        _config_value(config, "prior"), _config_value(config, "type_labels", _labels)
-    )
-    channel = Channel(_config_value(config, "channel"))
-    conditional = Policy(_config_value(config, "conditional_policy"), "tsa")
-    state = _config_value(config, "state", operator.index)
-    n_states = conditional.table.shape[1]
-    if not 0 <= state < n_states:
-        raise ParseError(
-            f"config key 'state': {state} is not one of the {n_states} states "
-            "of conditional_policy"
+    value = {}
+    for key in PIKL_DEMO_DEFAULTS:
+        with _config_keys(key):
+            value[key] = _CONVERSIONS.get(key, _float_array)(config.get(key))
+    state = value["state"]
+    with _config_keys("prior", "type_labels"):
+        space = LatentTypeSpace(value["prior"], value["type_labels"])
+    with _config_keys("channel"):
+        channel = Channel(value["channel"])
+    with _config_keys("conditional_policy", "state"):
+        conditional = Policy(value["conditional_policy"], "tsa")
+        n_states = conditional.table.shape[1]
+        if not 0 <= state < n_states:
+            raise ValueError(f"{state} is not one of the {n_states} states of conditional_policy")
+    with _config_keys("receiver_type_belief"):
+        belief = BeliefState(value["receiver_type_belief"])
+    with _config_keys("prior", "channel", "conditional_policy"):
+        induced = induced_message_policy(space, channel, conditional)
+    with _config_keys("speaker_utility", "receiver_type_belief", "conditional_policy"):
+        utilities = message_expected_utilities(
+            space, channel, conditional, state, value["speaker_utility"], belief, induced
         )
-    belief = BeliefState(_config_value(config, "receiver_type_belief"))
-    speaker_utility = _config_value(config, "speaker_utility")
-
-    induced = induced_message_policy(space, channel, conditional)
-    utilities = message_expected_utilities(
-        space, channel, conditional, state, speaker_utility, belief, induced
-    )
     selected = best_message(utilities)
 
-    params = ObjectiveParams(
-        q_values=_config_value(config, "q_values"),
-        rewards=_config_value(
-            config, "rewards", lambda value: None if value is None else _float_array(value)
-        ),
-        lambda_anchor=_config_value(config, "lambda_anchor", _float),
-        lambda_tom=_config_value(config, "lambda_tom", _float),
-    )
-    anchor = Policy(_config_value(config, "anchor_policy"), "sa")
-    if params.q_values.shape[0] != anchor.table.shape[0]:
-        raise ParseError(
-            f"config keys 'q_values' and 'anchor_policy': {params.q_values.shape[0]} "
-            f"and {anchor.table.shape[0]} state rows differ"
+    with _config_keys("q_values", "rewards", "lambda_anchor", "lambda_tom"):
+        params = ObjectiveParams(
+            value["q_values"], value["rewards"], value["lambda_anchor"], value["lambda_tom"]
         )
-    pikl_rows = np.stack(
-        [
-            pikl_best_response(params.q_values[s], anchor.table[s], params.lambda_anchor)
-            for s in range(params.q_values.shape[0])
-        ]
-    )
+    with _config_keys("q_values", "anchor_policy"):
+        anchor = Policy(value["anchor_policy"], "sa")
+        if params.q_values.shape[0] != anchor.table.shape[0]:
+            raise ValueError(
+                f"{params.q_values.shape[0]} and {anchor.table.shape[0]} state rows differ"
+            )
+        pikl_rows = np.stack(
+            [
+                pikl_best_response(params.q_values[s], anchor.table[s], params.lambda_anchor)
+                for s in range(params.q_values.shape[0])
+            ]
+        )
     pikl_policy = Policy(pikl_rows, "sa")
     partner = Policy(induced.table[:, selected, :], "sa")
-    state_distribution = _config_value(config, "state_distribution")
-
     greedy = Policy.greedy(params.q_values)
+    with _config_keys("q_values", "conditional_policy"):
+        divergences = [
+            tom_divergence(greedy, induced, state, m) for m in range(channel.n_messages)
+        ]
+    with _config_keys("q_values", "conditional_policy", "state_distribution"):
+        anchored = anchor_objective(pikl_policy, params, anchor, value["state_distribution"])
+        unified = unified_objective(
+            pikl_policy, params, anchor, partner, value["state_distribution"], mode
+        )
     report = {
         "mode": mode.value,
         "state": state,
@@ -347,16 +367,10 @@ def run_pikl_demo(config: dict, mode: ObjectiveMode) -> dict:
         ],
         "message_expected_utility": [float(v) for v in utilities],
         "selected_message": selected,
-        "tom_divergence_bits_by_message": [
-            tom_divergence(greedy, induced, state, m) for m in range(channel.n_messages)
-        ],
+        "tom_divergence_bits_by_message": divergences,
         "pikl_policy": [[float(v) for v in row] for row in pikl_rows],
-        "anchor_objective": anchor_objective(
-            pikl_policy, params, anchor, state_distribution
-        ),
-        "unified_objective": unified_objective(
-            pikl_policy, params, anchor, partner, state_distribution, mode
-        ),
+        "anchor_objective": anchored,
+        "unified_objective": unified,
         "config": config,
     }
     return report

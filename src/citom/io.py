@@ -1,27 +1,28 @@
 """On-disk formats: symbol-series CSV, episode CSV, report CSV/JSON.
 
 Series files are plain CSV with one column per agent and one row per
-step, integer symbols only.  An optional leading comment line declares
-the alphabet sizes::
+step, after an optional alphabet declaration::
 
     # alphabet_size: 2,2,2
     x1,x2,x3
     0,1,1
 
-Without the declaration, each column's alphabet is inferred as one more
-than its largest symbol.  A leading UTF-8 byte-order mark is skipped.
-Parse failures always name the 1-based line number.  An episode CSV has
-the log's step index, then one column per field of the log after its
-``config``.
+A data row is the header's width of tokens joined by ``,``, each 1 to 18
+ASCII digits with optional spaces or tabs around it; blank and ``#``
+comment lines are skipped.  Without the declaration, each column's
+alphabet is one more than its largest symbol.  A leading UTF-8 byte-order
+mark is skipped.  A bad line is named by its 1-based number; errors found
+once the whole body is read (no rows, a declaration of the wrong width, a
+symbol outside its alphabet) name no line.  An episode CSV has the log's
+step index, then one column per field of the log after its ``config``.
 
-Parsing reads the file once, with ``\r\n`` and ``\r`` ending lines as
-in text mode, and parses the header once.  One rule decides what a line
-is; each block of lines below the header picks its converter: strided
-arithmetic for digit rows of one token width (as citom writes them),
-array arithmetic for other digit rows, or a line-by-line pass for
-anything else (:func:`parse_series_csv` says when).  The columns are kept
-read-only in the narrowest integer type that holds their symbols, so a
-binary column takes one byte per step and is never widened.
+Parsing reads the file once, with ``\r\n`` and ``\r`` ending lines as in
+text mode.  Each block of lines below the header goes to one digit reader:
+strided arithmetic if its tokens have one width (as citom writes them),
+array arithmetic otherwise.  A block holding anything else (a blank, a
+comment) is first checked line by line, its blanks then dropped.  Columns
+are kept read-only in the narrowest unsigned type that holds their
+symbols, so a binary column takes one byte per step.
 
 All writers go through an atomic write-then-rename so a crashed run
 never leaves a truncated artifact, and streams to disk the chunks the CSV
@@ -152,56 +153,40 @@ def _decoded(raw: bytes, line_no: int) -> str:
         raise ParseError(f"line {line_no}: not valid UTF-8") from None
 
 
-def _symbol_block(rows: list[tuple[int, str]], width: int) -> np.ndarray:
-    """``(line number, data row)`` pairs as a ``(len(rows), width)`` int64 array.
+_TOKEN = rb"[ \t]*[0-9]{1,18}[ \t]*"  # a data row is the header's width of these joined by ","
+_ROW = re.compile(_TOKEN + rb"(?:," + _TOKEN + rb")*")
 
-    ``np.array`` converts each token as ``int()`` would.  Only when the
-    block fails are its rows checked one by one, to name the first bad
-    line.
-    """
-    try:
-        tokens = [row.split(",") for _, row in rows]
-        return np.array(tokens, dtype=np.int64).reshape(len(rows), width)
-    except (ValueError, OverflowError):
-        for line_no, row in rows:
-            parts = [part.strip() for part in row.split(",")]
-            if len(parts) != width:
-                raise ParseError(
-                    f"line {line_no}: expected {width} fields, got {len(parts)}"
-                )
-            for part in parts:
-                try:
-                    np.int64(part)
-                except ValueError as exc:
-                    raise ParseError(
-                        f"line {line_no}: not an integer symbol: {part!r}"
-                    ) from exc
-                except OverflowError as exc:
-                    raise ParseError(
-                        f"line {line_no}: symbol out of int64 range: {part!r}"
-                    ) from exc
-        raise
+
+def _bad_row(line: bytes, line_no: int, width: int) -> str:
+    """The message for a data row off the grammar: its field count, else its
+    first token that is not 1 to 18 ASCII digits."""
+    tokens = [part.strip(" \t") for part in _decoded(line, line_no).split(",")]
+    if len(tokens) != width:
+        return f"line {line_no}: expected {width} fields, got {len(tokens)}"
+    token = next(t for t in tokens if not (t.isascii() and t.isdigit() and len(t) <= 18))
+    if token.isascii() and token.isdigit():
+        return f"line {line_no}: symbol longer than 18 digits: {token!r}"
+    return f"line {line_no}: not an integer symbol: {token!r}"
 
 
 def _convert_lines(lines: list[bytes], line_no: int, width: int) -> np.ndarray:
-    """The data rows of ``lines``, the first being line ``line_no``, as a
-    ``(rows, width)`` int64 array; blank and comment lines are skipped."""
-    rows: list[tuple[int, str]] = []
-    for line_no, raw in enumerate(lines, start=line_no):
-        try:
-            line = _decoded(raw, line_no).strip()
-            if line.startswith("#"):
-                if _parse_alphabet_comment(line, line_no) is not None:
-                    raise ParseError(
-                        f"line {line_no}: {ALPHABET_KEY} must precede the header"
-                    )
-            elif line:
-                rows.append((line_no, line))
-        except ParseError:
-            # Errors in the rows above this line come first.
-            _symbol_block(rows, width)
-            raise
-    return _symbol_block(rows, width)
+    """The data rows of ``lines``, the first being line ``line_no``, as
+    :func:`_digit_rows` converts them once their blanks are dropped; blank and
+    comment lines are skipped, and the first line off the grammar is named."""
+    rows = []
+    for line_no, line in enumerate(lines, start=line_no):
+        line = line.strip(b" \t")
+        if line.startswith(b"#"):
+            if _parse_alphabet_comment(_decoded(line, line_no), line_no) is not None:
+                raise ParseError(f"line {line_no}: {ALPHABET_KEY} must precede the header")
+        elif line:
+            if not _ROW.fullmatch(line) or line.count(b",") != width - 1:
+                raise ParseError(_bad_row(line, line_no, width))
+            rows.append(line)
+    if not rows:
+        return np.empty((0, width), dtype=np.uint8)
+    digits = np.frombuffer(b"\n".join(rows).translate(None, b" \t"), dtype=np.uint8)
+    return _digit_rows(digits, len(rows), width)
 
 
 def _digit_rows(chunk: np.ndarray, lines: int, width: int) -> np.ndarray | None:
@@ -244,8 +229,8 @@ def _digit_rows(chunk: np.ndarray, lines: int, width: int) -> np.ndarray | None:
 def _read_body(body: np.ndarray, width: int, line_no: int) -> np.ndarray:
     """The data rows of ``body``, whose first line is line ``line_no``, filled a block
     at a time into the columns of one read-only ``(width, rows)`` array: uint8 until a
-    block needs the narrowest unsigned type up to uint32 that holds it, else int64 (a
-    symbol below 0 or of 2**32 or more).  Line feeds are found a window at a time."""
+    block needs a wider unsigned type to hold its symbols.  Line feeds are found a
+    window at a time."""
     ends, lines = [], 0  # each block's end: past its last line feed
     for start in range(0, body.size, _WINDOW):
         feeds = np.flatnonzero(body[start : start + _WINDOW] == ord("\n"))
@@ -261,10 +246,8 @@ def _read_body(body: np.ndarray, width: int, line_no: int) -> np.ndarray:
         rows = _digit_rows(chunk, min(BLOCK_ROWS, lines - first), width)
         if rows is None:
             rows = _convert_lines(chunk.tobytes().splitlines(), line_no + first, width)
-        if rows.dtype != np.uint8:  # one-digit tokens come as uint8
-            low, high = rows.min(initial=0), rows.max(initial=0)  # 0 if no rows
-            # No uint64, which would promote with int64 to float64.
-            narrow = np.min_scalar_type(high) if 0 <= low and high < 2**32 else np.int64
+        if rows.dtype != np.uint8:  # one-digit tokens, and no rows, come as uint8
+            narrow = np.min_scalar_type(rows.max())  # unsigned: no symbol is negative
             columns = columns.astype(np.promote_types(columns.dtype, narrow), copy=False)
         columns[:, filled : filled + len(rows)] = rows.T
         filled, start = filled + len(rows), end
@@ -278,9 +261,9 @@ def parse_series_csv(path: Path | str) -> SeriesFile:
     The body is converted ``BLOCK_ROWS`` lines at a time.  A block whose
     lines each hold the header's width of 1- to 18-digit ASCII tokens
     joined by ``,`` takes array arithmetic, strided if its tokens have one
-    width; any other block (a blank or comment line, a space, sign, longer
-    token or non-ASCII digit) is converted line by line, which names the
-    first bad line of a file.
+    width; any other block (a blank or comment line, a space or tab around
+    a token, or a line off the grammar) is first checked line by line,
+    which names the first bad line of a file.
     """
     path = Path(path)
     data = bytearray(path.stat().st_size)  # a regular file's size; 0 for a pipe
@@ -310,8 +293,6 @@ def parse_series_csv(path: Path | str) -> SeriesFile:
         )
     components = []
     for position, (name, values) in enumerate(zip(names, columns)):
-        if values.min() < 0:
-            raise ParseError(f"column {name!r} has negative symbols")
         size = alphabet[position] if alphabet else int(values.max()) + 1
         if values.max() >= size:
             raise ParseError(

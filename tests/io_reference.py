@@ -94,13 +94,16 @@ def _parse_alphabet_comment(line: str, line_no: int) -> tuple[int, ...] | None:
 
 
 def parse_series_csv(path: Path | str) -> SeriesFile:
+    """Line by line: each data row holds the header's width of tokens of 1 to
+    18 ASCII digits, with spaces or tabs around them."""
     path = Path(path)
     alphabet: tuple[int, ...] | None = None
     names: tuple[str, ...] | None = None
     columns: list[list[int]] = []
     with path.open("r", encoding="utf-8-sig") as handle:
         for line_no, raw in enumerate(handle, start=1):
-            line = raw.strip()
+            # A data row's blanks are spaces and tabs; the header's are any whitespace.
+            line = raw.strip() if names is None else raw.rstrip("\n").strip(" \t")
             if not line:
                 continue
             if line.startswith("#"):
@@ -112,8 +115,8 @@ def parse_series_csv(path: Path | str) -> SeriesFile:
                         )
                     alphabet = declared
                 continue
-            parts = [part.strip() for part in line.split(",")]
             if names is None:
+                parts = [part.strip() for part in line.split(",")]
                 if any(not part for part in parts):
                     raise ParseError(f"line {line_no}: empty column name in header")
                 if len(set(parts)) != len(parts):
@@ -121,21 +124,19 @@ def parse_series_csv(path: Path | str) -> SeriesFile:
                 names = tuple(parts)
                 columns = [[] for _ in names]
                 continue
+            parts = [part.strip(" \t") for part in line.split(",")]
             if len(parts) != len(names):
                 raise ParseError(
                     f"line {line_no}: expected {len(names)} fields, got {len(parts)}"
                 )
             for column, part in zip(columns, parts):
-                try:
-                    column.append(int(part))
-                except ValueError as exc:
+                if not (part.isascii() and part.isdigit()):
+                    raise ParseError(f"line {line_no}: not an integer symbol: {part!r}")
+                if len(part) > 18:
                     raise ParseError(
-                        f"line {line_no}: not an integer symbol: {part!r}"
-                    ) from exc
-                if not -(2**63) <= column[-1] < 2**63:
-                    raise ParseError(
-                        f"line {line_no}: symbol out of int64 range: {part!r}"
+                        f"line {line_no}: symbol longer than 18 digits: {part!r}"
                     )
+                column.append(int(part))
     if names is None:
         raise ParseError("line 1: missing header row")
     if not columns[0]:
@@ -147,8 +148,6 @@ def parse_series_csv(path: Path | str) -> SeriesFile:
     components = []
     for position, column in enumerate(columns):
         values = np.asarray(column, dtype=np.int64)
-        if values.min() < 0:
-            raise ParseError(f"column {names[position]!r} has negative symbols")
         size = alphabet[position] if alphabet else int(values.max()) + 1
         if values.max() >= size:
             raise ParseError(

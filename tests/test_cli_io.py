@@ -227,12 +227,25 @@ class TestParseSeriesCsv:
             ("x,\n0,0\n", "line 1: empty column name"),
             ("x,y\n0\n", "line 2: expected 2 fields, got 1"),
             ("x,y\n0,1\n1,oops\n", "line 3: not an integer symbol"),
-            ("x\n0\n99999999999999999999\n", "line 3: symbol out of int64 range"),
+            ("x\n0\n99999999999999999999\n", "line 3: symbol longer than 18 digits"),
             ("x\n0\n# alphabet_size: 2\n", "line 3: .* must precede the header"),
             ("# alphabet_size: two\nx\n0\n", "line 1: malformed"),
             ("# alphabet_size: 0\nx\n0\n", "line 1: alphabet sizes must be >= 1"),
             ("# alphabet_size: 2,2\nx\n0\n", "declares 2 columns, header has 1"),
-            ("x\n-1\n", "negative symbols"),
+            ("x\n-1\n", "^line 2: not an integer symbol: '-1'$"),
+            # The series grammar: 1 to 18 ASCII digits, spaces or tabs around them.
+            ("x\n0\n+1\n", r"^line 3: not an integer symbol: '\+1'$"),
+            ("x\n-0\n", "^line 2: not an integer symbol: '-0'$"),
+            ("x\n1_0\n", "^line 2: not an integer symbol: '1_0'$"),
+            ("x\n\u0663\n", "^line 2: not an integer symbol: '\u0663'$"),
+            ("x\n\uff11\n", "^line 2: not an integer symbol: '\uff11'$"),
+            ("x\n" + "0" * 18 + "7\n", "^line 2: symbol longer than 18 digits: '0{18}7'$"),
+            ("x,y\n0,1\n0,\f1\n", r"^line 3: not an integer symbol: '\\x0c1'$"),
+            pytest.param(
+                "# alphabet_size: 2,2\nx,y\n 7 ,\t3\n",
+                "^column 'x' has symbol 7 outside alphabet of size 2$",
+                id="blanks around tokens",
+            ),
             ("# alphabet_size: 2\nx\n0\n5\n", "symbol 5 outside alphabet of size 2"),
             # Range errors read exact values, whatever type a column is kept in.
             (
@@ -244,9 +257,9 @@ class TestParseSeriesCsv:
                 "^column 'x' has symbol 999999999999999999 outside alphabet of size 2$",
             ),
             pytest.param(
-                "# alphabet_size: 2,2\nx,y\n" + "999999999999999999,0\n" * BLOCK_ROWS + "0,-1\n",
+                "# alphabet_size: 2,2\nx,y\n" + "999999999999999999,0\n" * BLOCK_ROWS + "0,1\n",
                 "^column 'x' has symbol 999999999999999999 outside alphabet of size 2$",
-                id="18-digit block joined with a negative one",
+                id="18-digit block joined with a one-digit one",
             ),
             ("", "line 1: missing header row"),
             ("x,y\n", "no data rows"),

@@ -200,13 +200,16 @@ class TestIntegerCells:
         assert b"".join(columns_csv_text(["a", "b"], cols)) == expected
 
 
-# Token spellings that int() accepts.
+# Token spellings that int() accepts.  The series grammar takes the
+# zero-led ones and those padded with spaces or tabs, and rejects the rest.
 TOKEN_FORMS = (
     lambda v: f"+{v}",
     lambda v: f" {v} ",
     lambda v: f"\t{v}",
     lambda v: f"0{v}",
     lambda v: f"{v}_0" if v else "0_0",
+    lambda v: f"\f{v}",
+    lambda v: f"{v}\u3000",
 )
 # Replacements for a whole data row that make it malformed.
 CORRUPTIONS = (
@@ -218,7 +221,7 @@ CORRUPTIONS = (
     lambda row: "99" + row[row.find(",") :] if "," in row else "99",
 )
 # Lines the parser skips, or rejects when they follow the header.
-EXTRA_LINES = ("", "   ", "#", "# a note", "# alphabet_size: 3", "# alphabet_size: x")
+EXTRA_LINES = ("", "   ", " \t", "\f", "#", "# a note", "# alphabet_size: 3", "# alphabet_size: x")
 
 
 @st.composite
@@ -373,13 +376,13 @@ class TestFastPathMatchesReference:
         tokens = rng.choice(np.array(["7", "0", "9" * 18, "1" + "0" * 17]), (BLOCK_ROWS, 3))
         mixed = "a,b,c\n" + "\n".join(",".join(row) for row in tokens.tolist())
         passed: list[int] = []
-        symbol_block = citom_io._symbol_block
+        convert_lines = citom_io._convert_lines
 
-        def spy(rows, width):
-            passed.append(len(rows))
-            return symbol_block(rows, width)
+        def spy(lines, line_no, width):
+            passed.append(len(lines))
+            return convert_lines(lines, line_no, width)
 
-        monkeypatch.setattr(citom_io, "_symbol_block", spy)
+        monkeypatch.setattr(citom_io, "_convert_lines", spy)
         # Blocks that ``_digit_rows`` reads by their separators' positions
         # (``np.ediff1d`` spans the tokens) rather than as one byte matrix.
         ragged: list[int] = []
@@ -412,7 +415,8 @@ class TestFastPathMatchesReference:
 
 
 # Replacements for one digit byte: the bytes just below and above the
-# ASCII digits, a space (which ``int`` strips), a letter and a sign.
+# ASCII digits, a space (a blank the grammar allows around a token), a
+# letter and a sign.
 NON_DIGITS = (b"/", b":", b" ", b"x", b"-")
 
 
