@@ -28,8 +28,9 @@ All writers go through an atomic write-then-rename so a crashed run
 never leaves a truncated artifact, and streams to disk the chunks the CSV
 writers yield, one per block of rows, so no file's whole text is held.
 Floats get six decimals so identical runs give identical bytes.  Rows are
-rendered and parsed ``BLOCK_ROWS`` at a time; a block's cells fill one
-NUL-padded byte matrix, NULs then dropped.
+rendered and parsed ``BLOCK_ROWS`` at a time.  A block is one NUL-padded
+byte matrix, NULs then dropped: a leading step index by digit place, the
+rest of each row gathered from the text of the block's distinct rows.
 """
 
 from __future__ import annotations
@@ -110,19 +111,29 @@ def atomic_write_text(path: Path, content: str | bytes | Iterable[bytes]) -> Non
         raise
 
 
+def _joined_tokens(digits: int) -> re.Pattern[bytes]:
+    """Tokens of 1 to ``digits`` ASCII digits, spaces or tabs around each, joined by ``,``."""
+    token = rb"[ \t]*[0-9]{1,%d}[ \t]*" % digits
+    return re.compile(token + rb"(?:," + token + rb")*")
+
+
+_ROW = _joined_tokens(18)  # a data row holds the header's width of these
+_SIZES = _joined_tokens(19)  # the sizes declared: 10**18 holds every 18-digit symbol
+
+
 def _parse_alphabet_comment(line: str, line_no: int) -> tuple[int, ...] | None:
+    """Declared sizes, spelled as symbols are but up to 19 digits; else ``None``."""
     body = line.lstrip("#").strip()
     if ":" not in body:
         return None
     key, _, value = body.partition(":")
     if key.strip() != ALPHABET_KEY:
         return None
-    try:
-        sizes = tuple(int(part.strip()) for part in value.split(","))
-    except ValueError as exc:
+    if not _SIZES.fullmatch(value.encode("utf-8")):
         raise ParseError(
             f"line {line_no}: malformed {ALPHABET_KEY} declaration: {value.strip()!r}"
-        ) from exc
+        )
+    sizes = tuple(map(int, value.split(",")))
     if any(size < 1 for size in sizes):
         raise ParseError(f"line {line_no}: alphabet sizes must be >= 1")
     return sizes
@@ -151,10 +162,6 @@ def _decoded(raw: bytes, line_no: int) -> str:
         return raw.decode("utf-8")
     except UnicodeDecodeError:
         raise ParseError(f"line {line_no}: not valid UTF-8") from None
-
-
-_TOKEN = rb"[ \t]*[0-9]{1,18}[ \t]*"  # a data row is the header's width of these joined by ","
-_ROW = re.compile(_TOKEN + rb"(?:," + _TOKEN + rb")*")
 
 
 def _bad_row(line: bytes, line_no: int, width: int) -> str:
@@ -303,46 +310,80 @@ def parse_series_csv(path: Path | str) -> SeriesFile:
     return SeriesFile(names, JointSeries(tuple(components)))
 
 
-def _column_cells(column: np.ndarray | range) -> np.ndarray:
-    """A block of a column (a ``range`` becomes an array only here) as a
-    ``(rows, width)`` uint8 matrix of NUL-padded cells.  Floats call
-    ``format_float`` once per distinct bit pattern.  Integers and bools are
-    written by digit place: a sign column (``-`` or NUL) only if some value
-    is negative, then the digits right-aligned behind leading NULs.  No cell
-    text holds a NUL byte, so dropping a row's NULs leaves exactly its cells."""
-    if isinstance(column, range):
-        column = np.arange(column.start, column.stop, column.step)
-    if column.dtype.kind == "f":
-        keys = column.astype(np.float64).view(np.uint64)
-        distinct, codes = np.unique(keys, return_inverse=True)
-        texts = map(format_float, distinct.view(np.float64).tolist())
-        table = np.array(list(texts), dtype=np.bytes_)
-        return table[codes].view(np.uint8).reshape(len(column), table.itemsize)
-    sign = int(column.dtype.kind == "i" and column.min() < 0)
-    magnitude = column.astype(np.int64 if sign else np.uint64, copy=False)
-    if sign:  # widened first (np.abs of int8 -128 is -128); the int64 minimum wraps to 2**63
-        magnitude = np.abs(magnitude).view(np.uint64)
-    cells = np.zeros((len(column), sign + len(str(magnitude.max()))), dtype=np.uint8)
-    if sign:
-        np.multiply(column < 0, ord("-"), out=cells[:, 0], dtype=np.uint8)
-    for place in range(cells.shape[1] - 1, sign - 1, -1):  # units first
-        tens = magnitude // 10 if place > sign else 0
+_FEW_KEYS = 16  # distinct keys up to which a ">=" pass each beats ``searchsorted``
+
+
+def _column_cells(steps: range, cells: np.ndarray) -> None:
+    """Write a block of a non-negative step index into ``cells``, a ``(rows,
+    width)`` uint8 view, by digit place: right-aligned behind leading NULs."""
+    narrow = np.min_scalar_type(max(steps[0], steps[-1]))  # the fastest division
+    magnitude = np.arange(steps.start, steps.stop, steps.step, dtype=narrow)
+    last = cells.shape[1] - 1
+    for place in range(last, -1, -1):  # units first
+        tens = magnitude // 10 if place else 0
         digit = magnitude - tens * 10 + ord("0")
-        cells[:, place] = digit * (magnitude > 0) if place < cells.shape[1] - 1 else digit
+        cells[:, place] = digit * (magnitude > 0) if place < last else digit
         magnitude = tens
-    return cells
+
+
+def _keys(values: np.ndarray) -> np.ndarray:
+    """A column's keys: a float's bit pattern, an integer's or bool's value."""
+    if values.dtype.kind == "f":
+        return values.astype(np.float64, copy=False).view(np.uint64)
+    return values.astype(np.int64 if values.dtype.kind == "i" else np.uint64, copy=False)
+
+
+def _codes(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each key's position among the distinct ``keys``, sorted (no argsort), and
+    those keys: one ``>=`` pass per distinct key while few, else ``searchsorted``."""
+    distinct = np.sort(keys)
+    distinct = distinct[np.concatenate(([True], distinct[1:] != distinct[:-1]))]
+    if len(distinct) > _FEW_KEYS:
+        return np.searchsorted(distinct, keys), distinct
+    codes = np.zeros(len(keys), dtype=np.int64)
+    for key in distinct[1:]:
+        codes += keys >= key
+    return codes, distinct
 
 
 def _padded_rows(columns: Sequence[np.ndarray | range], start: int) -> bytearray:
-    """The block of rows from ``start``: each column's NUL-padded cells then
-    ``,``, the last a line feed, filled through one ``(rows, width)`` matrix."""
-    cells = [_column_cells(column[start : start + BLOCK_ROWS]) for column in columns]
-    ends = np.cumsum([block.shape[1] + 1 for block in cells])
-    padded = bytearray(b",") * (len(cells[0]) * int(ends[-1]))
-    rows = np.frombuffer(padded, dtype=np.uint8).reshape(len(cells[0]), -1)
-    for block, end in zip(cells, ends):
-        rows[:, end - block.shape[1] - 1 : end - 1] = block
-    rows[:, -1] = ord("\n")
+    """The block of rows from ``start`` as one NUL-padded ``(rows, width)`` byte
+    matrix: a leading ``range`` of non-negative steps by digit place, the rest
+    gathered from the text of the block's distinct rows.  Each column's keys are
+    rendered once and their codes combine, mixed-radix, into a row code,
+    renumbered before it could pass ``2**63``."""
+    block = [column[start : start + BLOCK_ROWS] for column in columns]
+    rows, lead = len(block[0]), block[0]
+    steps = block.pop(0) if isinstance(lead, range) and min(lead[0], lead[-1]) >= 0 else None
+    row, radix, coded = np.zeros(rows, dtype=np.int64), 1, []
+    for values in map(np.asarray, block):
+        codes, distinct = _codes(_keys(values))
+        if values.dtype.kind == "f":
+            texts = list(map(format_float, distinct.view(np.float64).tolist()))
+        else:
+            texts = list(map(str, distinct.tolist()))
+        if radix * len(texts) > 2**63:
+            row, present = _codes(row)
+            radix = len(present)
+        row, radix = row * len(texts) + codes, radix * len(texts)
+        coded.append((values, distinct, texts))
+    row, present = _codes(row)
+    sample = np.empty(len(present), dtype=np.intp)
+    sample[row] = np.arange(rows)  # a row of each code, whose keys give its cells
+    cells = [
+        [texts[code] for code in np.searchsorted(distinct, _keys(values[sample])).tolist()]
+        for values, distinct, texts in coded
+    ]
+    width = len(str(max(steps[0], steps[-1]))) if steps is not None else 0
+    if steps is not None:  # NULs where the step goes, then a ","
+        cells.insert(0, ["\0" * width] * len(present))
+    table = np.array([",".join(line) + "\n" for line in zip(*cells)], dtype=np.bytes_)
+    padded = bytearray(rows * table.itemsize)
+    whole = f"V{table.itemsize}"  # a row as one item, so the gather copies it at once
+    # The codes are in range; "clip" lets ``take`` write into ``out`` unbuffered.
+    np.take(table.view(whole), row, out=np.frombuffer(padded, whole), mode="clip")
+    if steps is not None:
+        _column_cells(steps, np.frombuffer(padded, np.uint8).reshape(rows, -1)[:, :width])
     return padded
 
 
@@ -351,7 +392,10 @@ def columns_csv_text(
 ) -> Iterator[bytes]:
     """Yield a header line, then one chunk of UTF-8 CSV rows per block of the
     equal-length ``columns``; each column's cell format follows its dtype and
-    each block drops its NULs in one flat ``translate``."""
+    each block drops its NULs in one flat ``translate``.  A block costs numpy
+    passes over its rows plus one Python join per distinct row: a handful for
+    citom's columns, but one per row, slower than rendering by column, in a
+    block whose rows all differ."""
     yield (",".join(header) + "\n").encode("utf-8")
     for start in range(0, len(columns[0]), BLOCK_ROWS):
         yield _padded_rows(columns, start).translate(None, b"\0")

@@ -82,12 +82,13 @@ def _parse_alphabet_comment(line: str, line_no: int) -> tuple[int, ...] | None:
     key, _, value = body.partition(":")
     if key.strip() != ALPHABET_KEY:
         return None
-    try:
-        sizes = tuple(int(part.strip()) for part in value.split(","))
-    except ValueError as exc:
+    # Each size is spelled as a symbol is, with up to 19 digits (10**18).
+    parts = [part.strip(" \t") for part in value.split(",")]
+    if not all(part.isascii() and part.isdigit() and len(part) <= 19 for part in parts):
         raise ParseError(
             f"line {line_no}: malformed {ALPHABET_KEY} declaration: {value.strip()!r}"
-        ) from exc
+        )
+    sizes = tuple(int(part) for part in parts)
     if any(size < 1 for size in sizes):
         raise ParseError(f"line {line_no}: alphabet sizes must be >= 1")
     return sizes

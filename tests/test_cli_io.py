@@ -177,6 +177,12 @@ class TestParseSeriesCsv:
         parsed = parse_series_csv(path)
         assert parsed.series.components[0].alphabet_size == 4
 
+    def test_declared_sizes_take_blanks_and_nineteen_digits(self, tmp_path: Path) -> None:
+        # 10**18 is the alphabet of an 18-digit symbol, as series_csv_text declares it.
+        text = f"# alphabet_size:\t3 ,{10**18}\t, 002\na,b,c\n0,{10**18 - 1},1\n"
+        parsed = parse_series_csv(write_series(tmp_path, text))
+        assert [c.alphabet_size for c in parsed.series.components] == [3, 10**18, 2]
+
     def test_blank_lines_and_plain_comments_ignored(self, tmp_path: Path) -> None:
         path = write_series(
             tmp_path, "# produced by a test\n\nx,y\n0,1\n\n1,0\n"
@@ -230,6 +236,17 @@ class TestParseSeriesCsv:
             ("x\n0\n99999999999999999999\n", "line 3: symbol longer than 18 digits"),
             ("x\n0\n# alphabet_size: 2\n", "line 3: .* must precede the header"),
             ("# alphabet_size: two\nx\n0\n", "line 1: malformed"),
+            # Declared sizes are spelled as symbols are, with up to 19 digits.
+            (
+                "# alphabet_size: +2,1_0,٣\nx,y,z\n0,0,0\n",
+                r"^line 1: malformed alphabet_size declaration: '\+2,1_0,٣'$",
+            ),
+            ("# alphabet_size: +2\nx\n0\n", r"^line 1: malformed .*: '\+2'$"),
+            ("# alphabet_size: 2, 1_0\nx,y\n0,0\n", "^line 1: malformed .*: '2, 1_0'$"),
+            ("#\n# alphabet_size: ٣\nx\n0\n", "^line 2: malformed .*: '٣'$"),
+            ("# alphabet_size: １\nx\n0\n", "^line 1: malformed .*: '１'$"),
+            ("# alphabet_size: 1" + "0" * 19 + "\nx\n0\n", "^line 1: malformed .*: '10{19}'$"),
+            ("x\n0\n# alphabet_size: +2\n", r"^line 3: malformed .*: '\+2'$"),
             ("# alphabet_size: 0\nx\n0\n", "line 1: alphabet sizes must be >= 1"),
             ("# alphabet_size: 2,2\nx\n0\n", "declares 2 columns, header has 1"),
             ("x\n-1\n", "^line 2: not an integer symbol: '-1'$"),

@@ -64,20 +64,22 @@ def int_range(dtype) -> tuple[int, int]:
 
 @st.composite
 def column(draw, length: int) -> np.ndarray:
-    """``length`` values drawn with repetition from a small random pool."""
+    """``length`` values drawn with repetition from a small random pool, of
+    fewer or more values than a block codes with one pass each."""
     if draw(st.booleans()):
-        pool = np.array(draw(st.lists(FLOATS, min_size=1, max_size=12)))
+        pool = np.array(draw(st.lists(FLOATS, min_size=1, max_size=24)))
     else:
         dtype = draw(st.sampled_from(INT_DTYPES))
         values = st.integers(*int_range(dtype))
-        pool = np.array(draw(st.lists(values, min_size=1, max_size=12)), dtype=dtype)
+        pool = np.array(draw(st.lists(values, min_size=1, max_size=24)), dtype=dtype)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return rng.choice(pool, size=length)
 
 
 @st.composite
 def columns(draw) -> list[np.ndarray]:
-    length = draw(st.integers(0, 12))
+    """One to four columns, short or running into a second block."""
+    length = draw(st.one_of(st.integers(0, 12), st.integers(BLOCK_ROWS - 2, BLOCK_ROWS + 40)))
     return [draw(column(length)) for _ in range(draw(st.integers(1, 4)))]
 
 
@@ -169,7 +171,7 @@ def edge_values(dtype) -> np.ndarray:
 
 
 class TestIntegerCells:
-    """Integer and bool cells, written by digit place, against ``str(int(v))``."""
+    """Integer and bool cells, rendered once per distinct value, against ``str(int(v))``."""
 
     def test_bools_render_as_zero_and_one(self) -> None:
         assert b"".join(columns_csv_text(["b"], [np.array([True, False])])) == b"b\n1\n0\n"
@@ -198,6 +200,54 @@ class TestIntegerCells:
         cols = [column, column[::-1].copy()]
         expected = reference.columns_csv_text(["a", "b"], cols).encode("utf-8")
         assert b"".join(columns_csv_text(["a", "b"], cols)) == expected
+
+
+def gather_cases() -> dict[str, list[np.ndarray]]:
+    """Columns at the edges of coding a block by its distinct rows."""
+    rng = np.random.default_rng(11)
+    steps = np.arange(512)
+    int64 = np.iinfo(np.int64)
+    return {
+        "uint64 top": [np.array([2**64 - 1, 2**64 - 2, 2**64 - 1], dtype=np.uint64)],
+        "int64 extremes": [np.array([int64.min, int64.max, int64.min, 0], dtype=np.int64)],
+        "int8 minimum": [np.array([-128, 127, -128, 0], dtype=np.int8)],
+        "bools only": [np.array([True, False, False, True]), np.zeros(4, dtype=bool)],
+        "one row": [np.array([-0.5]), np.array([-7], dtype=np.int32), np.array([True])],
+        "all rows distinct": [
+            rng.permutation(BLOCK_ROWS + 5) * 7 - 9000,
+            rng.normal(size=BLOCK_ROWS + 5),
+            rng.integers(0, 3, BLOCK_ROWS + 5).astype(np.int8),
+        ],
+        # Rows 2k and 2k + 1 differ only in the first column, whose code
+        # would be shifted out of 64 bits if the row code were not renumbered.
+        "renumbered, 256 values": [steps % 256, *[(steps // 2 % 256).astype(np.uint8)] * 8],
+        "renumbered, 2 values": [steps % 2, *[(steps // 2 % 2).astype(bool)] * 64],
+    }
+
+
+class TestGatheredRows:
+    """Blocks rendered from their distinct rows, with or without a leading
+    step index, against the per-row reference."""
+
+    @pytest.mark.parametrize("case", list(gather_cases()))
+    def test_same_bytes_as_the_reference(self, case: str) -> None:
+        cols = gather_cases()[case]
+        header = [f"c{i}" for i in range(len(cols))]
+        expected = reference.columns_csv_text(header, cols).encode("utf-8")
+        assert b"".join(columns_csv_text(header, cols)) == expected
+        n = len(cols[0])
+        expected = reference.columns_csv_text(["i", *header], [np.arange(n), *cols])
+        assert b"".join(columns_csv_text(["i", *header], [range(n), *cols])) == expected.encode()
+
+    @pytest.mark.parametrize(
+        "steps",
+        [range(250, 260), range(65_530, 65_540), range(2**32 - 3, 2**32 + 3), range(9, -3, -1)],
+        ids=["uint8 to uint16", "uint16 to uint32", "uint32 to uint64", "negative"],
+    )
+    def test_step_index_across_integer_widths(self, steps: range) -> None:
+        values = np.zeros(len(steps), dtype=np.int8)
+        expected = reference.columns_csv_text(["i", "v"], [np.array(steps), values])
+        assert b"".join(columns_csv_text(["i", "v"], [steps, values])) == expected.encode()
 
 
 # Token spellings that int() accepts.  The series grammar takes the
