@@ -254,16 +254,24 @@ def load_pikl_config(path: str | None) -> dict:
     return config
 
 
+def _numbers(value):
+    """``value``, checked to hold JSON numbers only: no string, boolean or null."""
+    for item in np.asarray(value, dtype=object).flat:
+        if type(item) not in (int, float):
+            raise TypeError(f"expected a number, got {item!r}")
+    return value
+
+
 def _float_array(value) -> np.ndarray:
-    array = np.asarray(value, dtype=np.float64)
+    array = np.asarray(_numbers(value), dtype=np.float64)
     if not np.isfinite(array).all():
         raise ValueError(f"values must be finite, got {value!r}")
     return array
 
 
 def _float(value) -> float:
-    """A finite float; ``float`` rejects lists and ``None``."""
-    return float(_float_array(float(value)))
+    """A finite float; ``float`` rejects lists."""
+    return float(_float_array(float(_numbers(value))))
 
 
 def _labels(value) -> tuple[str, ...] | None:
@@ -279,7 +287,7 @@ _CONVERSIONS = {
     "rewards": lambda value: None if value is None else _float_array(value),
     "lambda_anchor": _float,
     "lambda_tom": _float,
-    "state": operator.index,
+    "state": lambda value: operator.index(_numbers(value)),
 }
 
 

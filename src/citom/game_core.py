@@ -342,14 +342,8 @@ def triadic_utilities(
     their total.  A cooperation round at share 0.1 yields (0.2, 1, 1);
     mutual defection yields (0, 0, 0) at any coupling.
     """
-    if not -0.5 <= x1 <= 0.5:
-        raise ValueError(f"x1 must lie in [-1/2, 1/2], got {x1}")
+    table = effective_game(EffectiveGameParam(x1))
     if not 0.0 <= revenue_share <= 1.0:
         raise ValueError(f"revenue_share must lie in [0, 1], got {revenue_share}")
-    _validate_spin((x2, x3))
-    table = effective_game(EffectiveGameParam(x1))
-    index = profile_index((x2, x3))
-    u2 = float(table.payoffs[0, index])
-    u3 = float(table.payoffs[1, index])
-    u1 = revenue_share * (u2 + u3)
-    return u1, u2, u3
+    u2, u3 = table.payoffs[:, profile_index((x2, x3))].tolist()
+    return revenue_share * (u2 + u3), u2, u3

@@ -301,19 +301,20 @@ def parse_series_csv(path: Path | str) -> SeriesFile:
     components = []
     for position, (name, values) in enumerate(zip(names, columns)):
         size = alphabet[position] if alphabet else int(values.max()) + 1
-        if values.max() >= size:
+        try:  # ``SymbolSeries`` checks the range; a parsed symbol is never negative
+            components.append(SymbolSeries(values, size))
+        except ValueError:
             raise ParseError(
                 f"column {name!r} has symbol {int(values.max())} outside "
                 f"alphabet of size {size}"
-            )
-        components.append(SymbolSeries(values, size))
+            ) from None
     return SeriesFile(names, JointSeries(tuple(components)))
 
 
 _FEW_KEYS = 16  # distinct keys up to which a ">=" pass each beats ``searchsorted``
 
 
-def _column_cells(steps: range, cells: np.ndarray) -> None:
+def _step_cells(steps: range, cells: np.ndarray) -> None:
     """Write a block of a non-negative step index into ``cells``, a ``(rows,
     width)`` uint8 view, by digit place: right-aligned behind leading NULs."""
     narrow = np.min_scalar_type(max(steps[0], steps[-1]))  # the fastest division
@@ -366,16 +367,13 @@ def _padded_rows(columns: Sequence[np.ndarray | range], start: int) -> bytearray
             row, present = _codes(row)
             radix = len(present)
         row, radix = row * len(texts) + codes, radix * len(texts)
-        coded.append((values, distinct, texts))
+        coded.append((codes, texts))
     row, present = _codes(row)
     sample = np.empty(len(present), dtype=np.intp)
-    sample[row] = np.arange(rows)  # a row of each code, whose keys give its cells
-    cells = [
-        [texts[code] for code in np.searchsorted(distinct, _keys(values[sample])).tolist()]
-        for values, distinct, texts in coded
-    ]
-    width = len(str(max(steps[0], steps[-1]))) if steps is not None else 0
+    sample[row] = np.arange(rows)  # a row of each code, whose column codes give its cells
+    cells = [[texts[code] for code in codes[sample].tolist()] for codes, texts in coded]
     if steps is not None:  # NULs where the step goes, then a ","
+        width = len(str(max(steps[0], steps[-1])))
         cells.insert(0, ["\0" * width] * len(present))
     table = np.array([",".join(line) + "\n" for line in zip(*cells)], dtype=np.bytes_)
     padded = bytearray(rows * table.itemsize)
@@ -383,7 +381,7 @@ def _padded_rows(columns: Sequence[np.ndarray | range], start: int) -> bytearray
     # The codes are in range; "clip" lets ``take`` write into ``out`` unbuffered.
     np.take(table.view(whole), row, out=np.frombuffer(padded, whole), mode="clip")
     if steps is not None:
-        _column_cells(steps, np.frombuffer(padded, np.uint8).reshape(rows, -1)[:, :width])
+        _step_cells(steps, np.frombuffer(padded, np.uint8).reshape(rows, -1)[:, :width])
     return padded
 
 

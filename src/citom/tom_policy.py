@@ -133,15 +133,6 @@ class Policy:
     def n_actions(self) -> int:
         return int(self.table.shape[-1])
 
-    def distribution(self, *index: int) -> np.ndarray:
-        """Action distribution at a full assignment of the leading axes."""
-        if len(index) != len(self.axes) - 1:
-            raise ValueError(
-                f"axes {self.axes!r} need {len(self.axes) - 1} indices, "
-                f"got {len(index)}"
-            )
-        return self.table[index]
-
     @classmethod
     def greedy(cls, q_values: np.ndarray) -> "Policy":
         """One-hot argmax policy over Q-values; ties go to the lowest index."""
@@ -242,6 +233,8 @@ def message_expected_utilities(
         )
     if utility.shape[1] != conditional.n_actions:
         raise ValueError("speaker_utility columns must match the action count")
+    if not np.isfinite(utility).all():
+        raise ValueError("speaker_utility must be finite")
     if not 0 <= state < conditional.table.shape[1]:
         raise ValueError(f"state {state} out of range")
     weighted_utility = receiver_type_belief.posterior @ utility
@@ -314,10 +307,7 @@ def tom_divergence(
         raise ValueError(
             f"modelled_policy must have axes 'sma', got {modelled_policy.axes!r}"
         )
-    return kl_divergence(
-        rl_policy.distribution(state),
-        modelled_policy.distribution(state, message),
-    )
+    return kl_divergence(rl_policy.table[state], modelled_policy.table[state, message])
 
 
 def pikl_best_response(
@@ -407,9 +397,10 @@ class ObjectiveMode(enum.Enum):
     COUPLED = "coupled"
 
 
-def _check_state_inputs(
-    policy: Policy, params: ObjectiveParams, state_distribution: np.ndarray
-) -> np.ndarray:
+def _anchored(
+    policy: Policy, params: ObjectiveParams, anchor: Policy, state_distribution
+) -> tuple[float, np.ndarray]:
+    """:func:`anchor_objective` and the checked state distribution that weights it."""
     if policy.axes != "sa":
         raise ValueError(f"policy must have axes 'sa', got {policy.axes!r}")
     if policy.table.shape != params.q_values.shape:
@@ -417,22 +408,9 @@ def _check_state_inputs(
             f"policy shape {policy.table.shape} must match q_values "
             f"{params.q_values.shape}"
         )
-    dist = as_distribution(state_distribution, "state_distribution")
+    dist = as_distribution(np.asarray(state_distribution), "state_distribution")
     if dist.size != policy.table.shape[0]:
         raise ValueError("state_distribution must cover every state")
-    return dist
-
-
-def anchor_objective(
-    policy: Policy,
-    params: ObjectiveParams,
-    anchor: Policy,
-    state_distribution: np.ndarray | Sequence[float],
-) -> float:
-    """Expected reward minus the anchor penalty, KL in nats:
-    ``sum_s d(s) [ pi(.|s) . R(s,.) - lambda_anchor * KL(pi || anchor) ]``.
-    """
-    dist = _check_state_inputs(policy, params, np.asarray(state_distribution))
     if anchor.axes != "sa" or anchor.table.shape != policy.table.shape:
         raise ValueError("anchor must be an 'sa' policy matching the evaluated one")
     total = 0.0
@@ -444,7 +422,19 @@ def anchor_objective(
         value = float(row @ rewards[state])
         value -= params.lambda_anchor * _kl_nats(row, anchor.table[state])
         total += weight * value
-    return total
+    return total, dist
+
+
+def anchor_objective(
+    policy: Policy,
+    params: ObjectiveParams,
+    anchor: Policy,
+    state_distribution: np.ndarray | Sequence[float],
+) -> float:
+    """Expected reward minus the anchor penalty, KL in nats:
+    ``sum_s d(s) [ pi(.|s) . R(s,.) - lambda_anchor * KL(pi || anchor) ]``.
+    """
+    return _anchored(policy, params, anchor, state_distribution)[0]
 
 
 def unified_objective(
@@ -462,7 +452,7 @@ def unified_objective(
     term is skipped entirely and the value equals
     :func:`anchor_objective` exactly, whatever the partner model.
     """
-    base = anchor_objective(policy, params, anchor, state_distribution)
+    base, dist = _anchored(policy, params, anchor, state_distribution)
     if params.lambda_tom == 0.0:
         return base
     if modelled_partner is None:
@@ -476,7 +466,6 @@ def unified_objective(
     reward_driven = (
         Policy.greedy(params.q_values) if mode is ObjectiveMode.DIAGNOSTIC else policy
     )
-    dist = _check_state_inputs(policy, params, np.asarray(state_distribution))
     penalty = 0.0
     for state, weight in enumerate(dist):
         if weight == 0.0:

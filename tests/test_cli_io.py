@@ -829,6 +829,35 @@ class TestCliFailureModes:
             assert err.count("error:") == 1 and f"'{key}'" in err, err
 
     @pytest.mark.parametrize(
+        "override, message",
+        [
+            ({"prior": ["0.5", "0.5"]}, "config key 'prior': expected a number, got '0.5'"),
+            ({"prior": [0.5, True]}, "config key 'prior': expected a number, got True"),
+            ({"prior": None}, "config key 'prior': expected a number, got None"),
+            ({"channel": [[0.8, 0.2], [0.2, "0.8"]]},
+             "config key 'channel': expected a number, got '0.8'"),
+            ({"rewards": [[False, 0.0]]}, "config key 'rewards': expected a number, got False"),
+            ({"lambda_tom": "2"}, "config key 'lambda_tom': expected a number, got '2'"),
+            ({"lambda_anchor": True}, "config key 'lambda_anchor': expected a number, got True"),
+            ({"state": True}, "config key 'state': expected a number, got True"),
+            ({"state": "0"}, "config key 'state': expected a number, got '0'"),
+        ],
+        ids=["string prior", "boolean in prior", "null prior", "string in channel",
+             "boolean reward", "string lambda", "boolean lambda", "boolean state",
+             "string state"],
+    )
+    def test_numbers_must_be_json_numbers(
+        self, tmp_path: Path, capsys, override: dict, message: str
+    ) -> None:
+        # ``float`` and numpy would read "0.5" as 0.5 and true as 1.
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(override))
+        code = main(["pikl-demo", "--config", str(config_path), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
         "labels",
         ["ab", {"aligned": 1, "adversarial": 2}, "", [1, 2], ["aligned", 2], 3],
         ids=["string", "dict", "empty string", "numbers", "mixed", "number"],

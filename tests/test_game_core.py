@@ -329,6 +329,16 @@ class TestTriadicUtilities:
         with pytest.raises(ValueError):
             triadic_utilities(0.25, 0, C)
 
+    def test_checks_run_in_argument_order(self) -> None:
+        # The coupling's range is the effective game's check.
+        message = re.escape("coupling must lie in [-1/2, 1/2], got 0.75")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            triadic_utilities(0.75, 0, C, 7.0)
+        with pytest.raises(ValueError, match="^revenue_share must lie in"):
+            triadic_utilities(0.25, 0, C, 7.0)
+        with pytest.raises(ValueError, match="^actions must be"):
+            triadic_utilities(0.25, 0, C)
+
     @pytest.mark.parametrize("share", [np.nan, -0.1, 7.0])
     def test_revenue_share_out_of_range_rejected(self, share: float) -> None:
         message = re.escape(f"revenue_share must lie in [0, 1], got {share}")

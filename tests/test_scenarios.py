@@ -8,6 +8,7 @@ information-theoretic summaries use statistical tolerances.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import re
 
 import numpy as np
@@ -28,7 +29,31 @@ from citom.scenarios import (
 )
 
 
+def declared_default(owner, name: str):
+    """The default of a dataclass's field or a callable's parameter ``name``."""
+    if dataclasses.is_dataclass(owner):
+        return next(f.default for f in dataclasses.fields(owner) if f.name == name)
+    return inspect.signature(owner).parameters[name].default
+
+
 class TestConfigs:
+    @pytest.mark.parametrize(
+        "owner, config, name",
+        [
+            (agents.Orchestrator, TriadicConfig, "amplitude"),
+            (agents.Orchestrator.calibrated, TriadicConfig, "amplitude"),
+            (triadic_utilities, TriadicConfig, "revenue_share"),
+            (agents.MatchingPenniesPredictor, MatchingPenniesConfig, "significance_level"),
+            (agents.DeltaRuleLearner, MatchingPenniesConfig, "learning_rate"),
+            (agents.DeltaRuleLearner, MatchingPenniesConfig, "inverse_temperature"),
+        ],
+        ids=lambda value: getattr(value, "__qualname__", value),
+    )
+    def test_library_default_is_the_config_default(self, owner, config, name: str) -> None:
+        # Each model default is declared by the library and again by a
+        # config; a run from the config and a direct library call agree.
+        assert declared_default(owner, name) == declared_default(config, name)
+
     def test_triadic_validation(self) -> None:
         with pytest.raises(ValueError):
             TriadicConfig(mode="c")

@@ -67,9 +67,6 @@ class TestContainers:
     def test_policy_validation_and_indexing(self) -> None:
         policy = Policy(np.array([[0.3, 0.7], [1.0, 0.0]]))
         assert policy.n_actions == 2
-        assert policy.distribution(1).tolist() == [1.0, 0.0]
-        with pytest.raises(ValueError):
-            policy.distribution(0, 0)
         with pytest.raises(ValueError):
             Policy(np.array([[0.3, 0.8]]))
         with pytest.raises(ValueError):
@@ -275,6 +272,17 @@ class TestMessageSelection:
                 np.eye(3),
                 BeliefState(np.array([0.2, 0.3, 0.5])),
             )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_utility_rejected(self, bad: float) -> None:
+        # A NaN entry would make every expected utility NaN, and
+        # ``best_message`` would then pick the first of them.
+        space, channel, conditional = hand_instance()
+        utility = np.array([[1.0, 0.0], [0.0, bad]])
+        belief = BeliefState(np.array([0.6, 0.4]))
+        for choose in (message_expected_utilities, select_message):
+            with pytest.raises(ValueError, match="^speaker_utility must be finite$"):
+                choose(space, channel, conditional, 0, utility, belief)
 
     @pytest.mark.parametrize("state", [-1, 2])
     def test_state_out_of_range(self, state: int) -> None:
