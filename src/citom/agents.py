@@ -49,7 +49,7 @@ __all__ = [
     "MatchingPenniesPredictor",
     "DeltaRuleLearner",
     "equilibrium_action",
-    "Orchestrator",
+    "emission_sign",
 ]
 
 
@@ -299,38 +299,21 @@ def equilibrium_action(table: GameTable, player: int) -> int:
     return DEFECT
 
 
-@dataclass(frozen=True)
-class Orchestrator:
-    """Signal-following coupler that retunes the workers' effective game.
+def emission_sign(amplitude: float) -> int:
+    """The orchestrator's calibrated sign: it emits ``x1 = sign * signal * amplitude``,
+    the coupling of the effective game the workers face.
 
-    Emits ``x1 = sign * signal * amplitude``; the emission is the
-    coupling of the effective game the workers face.  ``sign`` is never
-    hard-coded: :meth:`calibrated` probes both signs and keeps the one
-    for which a +1 signal produces a game whose unique strict equilibrium
-    is mutual cooperation, so the construction survives any re-signing of
-    the underlying payoff family.
+    Both signs are probed, and the one kept makes both workers play ``COOPERATE``
+    on a +1 signal under ``equilibrium_action``, the rule they play by, so the
+    construction survives any re-signing of the underlying payoff family.
     """
-
-    sign: int
-    amplitude: float = 0.25
-
-    def __post_init__(self) -> None:
-        if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign!r}")
-        if not 0.0 < self.amplitude <= 0.5:
-            raise ValueError("amplitude must lie in (0, 1/2]")
-
-    @classmethod
-    def calibrated(cls, amplitude: float = 0.25) -> "Orchestrator":
-        """Resolve the emission sign from the payoff family itself."""
-        good_signs = []
-        for sign in (1, -1):
-            table = effective_game(EffectiveGameParam(sign * amplitude))
-            strict = pure_nash(table).strict_equilibria
-            if len(strict) == 1 and strict[0].actions == (COOPERATE, COOPERATE):
-                good_signs.append(sign)
-        if len(good_signs) != 1:
-            raise ValueError(
-                f"calibration must single out one sign, found {good_signs}"
-            )
-        return cls(good_signs[0], amplitude)
+    if not 0.0 < amplitude <= 0.5:
+        raise ValueError("amplitude must lie in (0, 1/2]")
+    good_signs = []
+    for sign in (1, -1):
+        table = effective_game(EffectiveGameParam(sign * amplitude))
+        if equilibrium_action(table, 0) == equilibrium_action(table, 1) == COOPERATE:
+            good_signs.append(sign)
+    if len(good_signs) != 1:
+        raise ValueError(f"calibration must single out one sign, found {good_signs}")
+    return good_signs[0]

@@ -329,10 +329,7 @@ def pure_nash(table: GameTable) -> NashSet:
 
 
 def triadic_utilities(
-    x1: float,
-    x2: int,
-    x3: int,
-    revenue_share: float = 0.1,
+    x1: float, x2: int, x3: int, revenue_share: float
 ) -> tuple[float, float, float]:
     """Per-step utilities of the orchestrated triad.
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from math import exp
-from operator import index
 from typing import ClassVar, Iterable
 
 import numpy as np
@@ -35,15 +34,15 @@ import numpy as np
 from .agents import (
     DeltaRuleLearner,
     MatchingPenniesPredictor,
-    Orchestrator,
     check_predictor_settings,
     critical_tails,
+    emission_sign,
     equilibrium_action,
     new_count_table,
     response_from_counts,
 )
 from .game_core import COOPERATE, EffectiveGameParam, effective_game, triadic_utilities
-from .info_measures import JointSeries, MeasureReport, SymbolSeries, excess_tdmi
+from .info_measures import JointSeries, MeasureReport, SymbolSeries, as_integer, excess_tdmi
 
 __all__ = [
     "TriadicConfig",
@@ -60,18 +59,11 @@ __all__ = [
 DEFAULT_TAUS = (1, 2, 3)  # the lags measured when none are named
 
 
-def _integer(name: str, value) -> int:
-    try:
-        return index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
 def _check_run(config, *integers: str) -> None:
     """Store ``steps``, ``seed`` and each of ``integers`` of the frozen ``config`` as an
     ``int``, check ``steps >= 2`` and ``seed >= 0`` and validate ``taus``, or raise."""
     for name in ("steps", "seed", *integers):
-        object.__setattr__(config, name, _integer(name, getattr(config, name)))
+        object.__setattr__(config, name, as_integer(getattr(config, name), name))
     if config.steps < 2:
         raise ValueError(f"steps must be >= 2, got {config.steps}")
     if config.seed < 0:
@@ -80,7 +72,7 @@ def _check_run(config, *integers: str) -> None:
 
 
 def validated_taus(taus: Iterable[int], steps: int) -> tuple[int, ...]:
-    result = tuple(_integer("lag", tau) for tau in taus)
+    result = tuple(as_integer(tau, "lag") for tau in taus)
     if not result:
         raise ValueError("at least one lag is required")
     for tau in result:
@@ -109,11 +101,8 @@ class TriadicConfig:
         _check_run(self, "delay")
         if self.delay < 0:
             raise ValueError(f"delay must be >= 0, got {self.delay}")
-        # The orchestrator's own checks: the amplitude's range, then a sign
-        # that calibrates (from 2**-54 down, ``1 - amplitude`` rounds to 1).
-        # Then the utilities' own check of the revenue share's range.
-        Orchestrator(1, self.amplitude)
-        Orchestrator.calibrated(self.amplitude)
+        # The calibration's checks (range; from 2**-54 down no sign calibrates), then the share's.
+        emission_sign(self.amplitude)
         triadic_utilities(0.0, COOPERATE, COOPERATE, self.revenue_share)
 
 
@@ -222,10 +211,10 @@ def run_triadic(config: TriadicConfig) -> TriadicLog:
     if config.mode == "a":
         x1, coupling = signal.astype(np.float64), np.zeros(steps)
     else:
-        orchestrator = Orchestrator.calibrated(config.amplitude)
         warmup = min(config.delay, steps)
         emission = np.full(warmup + steps, config.amplitude)
-        np.multiply(orchestrator.sign * config.amplitude, signal, out=emission[warmup:])
+        sign = emission_sign(config.amplitude)
+        np.multiply(sign * config.amplitude, signal, out=emission[warmup:])
         coupling, x1 = emission[:steps], emission[warmup:]
 
     # The coupling takes few distinct values, so resolve the workers'

@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .info_measures import as_distribution, frozen
+from .info_measures import as_distribution, as_integer, frozen
 
 __all__ = [
     "LatentTypeSpace",
@@ -264,6 +264,8 @@ def select_message(
 
 
 def _kl_nats(p: np.ndarray, q: np.ndarray) -> float:
+    if p.size != q.size:
+        raise ValueError(f"distributions differ in size: {p.size} vs {q.size}")
     support = p > 0.0
     if np.any(q[support] <= 0.0):
         raise ValueError(
@@ -282,11 +284,7 @@ def kl_divergence(
     Mass of ``p`` outside the support of ``q`` makes the divergence
     infinite and raises instead of returning a float.
     """
-    p = as_distribution(p, "p")
-    q = as_distribution(q, "q")
-    if p.size != q.size:
-        raise ValueError(f"distributions differ in size: {p.size} vs {q.size}")
-    return _kl_nats(p, q) / log(2.0)
+    return _kl_nats(as_distribution(p, "p"), as_distribution(q, "q")) / log(2.0)
 
 
 def tom_divergence(
@@ -299,7 +297,7 @@ def tom_divergence(
 
     ``rl_policy`` is state-conditioned (axes ``"sa"``) and the modelled
     partner policy message-resolved (axes ``"sma"``); the result is
-    ``D(rl(.|s) || modelled(.|s, m))``.
+    ``D(rl(.|s) || modelled(.|s, m))``; each ``Policy`` checked its own rows.
     """
     if rl_policy.axes != "sa":
         raise ValueError(f"rl_policy must have axes 'sa', got {rl_policy.axes!r}")
@@ -307,7 +305,8 @@ def tom_divergence(
         raise ValueError(
             f"modelled_policy must have axes 'sma', got {modelled_policy.axes!r}"
         )
-    return kl_divergence(rl_policy.table[state], modelled_policy.table[state, message])
+    state, message = as_integer(state, "state"), as_integer(message, "message")
+    return _kl_nats(rl_policy.table[state], modelled_policy.table[state, message]) / log(2.0)
 
 
 def pikl_best_response(
@@ -336,7 +335,8 @@ def pikl_best_response(
         response = np.zeros_like(anchor)
         response[int(np.argmax(q))] = 1.0
         return response
-    weights = anchor * np.exp((q - q.max()) / lam)
+    with np.errstate(over="ignore"):  # an overflowed exponent is -inf, and exp(-inf) = 0 exactly
+        weights = anchor * np.exp((q - q.max()) / lam)
     total = float(weights.sum())
     if total <= 0.0:
         raise ValueError("anchor must give positive weight somewhere")

@@ -8,7 +8,6 @@ binomial test over an exhaustive small-n grid.
 
 from __future__ import annotations
 
-import dataclasses
 from math import exp
 
 import numpy as np
@@ -20,7 +19,7 @@ from citom import agents
 from citom.agents import (
     DeltaRuleLearner,
     MatchingPenniesPredictor,
-    Orchestrator,
+    emission_sign,
     equilibrium_action,
 )
 from citom.game_core import (
@@ -315,27 +314,33 @@ class TestEquilibriumAction:
         assert equilibrium_action(scaled, 0) == equilibrium_action(table, 0)
 
 
-class TestOrchestrator:
+class TestEmissionSign:
     def test_calibration_resolves_the_emission_sign(self) -> None:
-        orch = Orchestrator.calibrated()
-        assert orch.sign == -1
-        assert orch.amplitude == 0.25
+        assert emission_sign(0.25) == -1
 
     def test_positive_signal_buys_cooperation(self) -> None:
-        orch = Orchestrator.calibrated()
+        sign = emission_sign(0.25)
         for signal in (1, -1):
-            coupling = orch.sign * signal * orch.amplitude
-            table = effective_game(EffectiveGameParam(coupling))
+            table = effective_game(EffectiveGameParam(sign * signal * 0.25))
             action = equilibrium_action(table, 0)
             assert action == (COOPERATE if signal == 1 else DEFECT)
 
-    def test_validation(self) -> None:
-        with pytest.raises(ValueError):
-            Orchestrator(0)
-        with pytest.raises(ValueError):
-            Orchestrator(1, amplitude=0.0)
-        with pytest.raises(ValueError):
-            Orchestrator(1, amplitude=0.6)
-        orch = Orchestrator.calibrated()
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            orch.sign = 1  # type: ignore[misc]
+    def test_survives_re_signing_of_the_payoff_family(self, monkeypatch) -> None:
+        # With the family's coupling negated, the other sign buys cooperation.
+        family = agents.effective_game
+        monkeypatch.setattr(
+            agents, "effective_game", lambda param: family(EffectiveGameParam(-param.coupling))
+        )
+        assert emission_sign(0.25) == 1
+
+    @pytest.mark.parametrize("amplitude", [0.0, -0.1, 0.6, np.nan, np.inf])
+    def test_amplitude_out_of_range_rejected(self, amplitude: float) -> None:
+        with pytest.raises(ValueError, match=r"^amplitude must lie in \(0, 1/2\]$"):
+            emission_sign(amplitude)
+
+    @pytest.mark.parametrize("amplitude", [2.0**-54, 2.0**-60])
+    def test_no_sign_calibrates_below_the_rounding_of_one(self, amplitude: float) -> None:
+        # ``1 - amplitude`` rounds to 1, so neither sign leaves a strict equilibrium.
+        message = r"^calibration must single out one sign, found \[\]$"
+        with pytest.raises(ValueError, match=message):
+            emission_sign(amplitude)

@@ -709,6 +709,24 @@ print(json.dumps({"frozen": gc.get_freeze_count(), "enabled": gc.isenabled()}))
         assert len(result.stderr.splitlines()) == 1
         assert result.stderr.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "config", [{"q_values": [[1e308, -1e308]]}, {"lambda_anchor": 1e-320}],
+        ids=["q_values", "lambda_anchor"],
+    )
+    def test_extreme_finite_pikl_config_runs_without_warnings(
+        self, tmp_path: Path, config: dict
+    ) -> None:
+        # A child without the test run's warning filters: nothing reaches stderr.
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        result = subprocess.run(
+            [sys.executable, "-m", "citom.cli", "pikl-demo", "--config", str(config_path),
+             "--out", str(tmp_path / "out")],
+            env=child_env(), capture_output=True, text=True,
+        )
+        assert result.returncode == 0
+        assert result.stderr == ""
+
 
 class TestCliFailureModes:
     def test_usage_errors_exit_two(self, tmp_path: Path, capsys) -> None:

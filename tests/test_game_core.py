@@ -305,16 +305,16 @@ class TestPureNash:
 
 class TestTriadicUtilities:
     def test_cooperation_round(self) -> None:
-        assert triadic_utilities(-0.25, C, C) == (0.2, 1.0, 1.0)
+        assert triadic_utilities(-0.25, C, C, 0.1) == (0.2, 1.0, 1.0)
 
     def test_mutual_defection_is_zero_everywhere(self) -> None:
-        assert triadic_utilities(0.25, D, D) == (0.0, 0.0, 0.0)
-        assert triadic_utilities(-0.25, D, D) == (0.0, 0.0, 0.0)
+        assert triadic_utilities(0.25, D, D, 0.1) == (0.0, 0.0, 0.0)
+        assert triadic_utilities(-0.25, D, D, 0.1) == (0.0, 0.0, 0.0)
 
     def test_mixed_round(self) -> None:
-        u1, u2, u3 = triadic_utilities(0.25, C, D)
+        u1, u2, u3 = triadic_utilities(0.25, C, D, 0.1)
         assert (u1, u2, u3) == (pytest.approx(0.1), -0.25, 1.25)
-        u1, u2, u3 = triadic_utilities(0.25, D, C)
+        u1, u2, u3 = triadic_utilities(0.25, D, C, 0.1)
         assert (u1, u2, u3) == (pytest.approx(0.1), 1.25, -0.25)
 
     def test_revenue_share_scales_orchestrator_cut(self) -> None:
@@ -325,9 +325,9 @@ class TestTriadicUtilities:
 
     def test_domain_validation(self) -> None:
         with pytest.raises(ValueError):
-            triadic_utilities(0.75, C, C)
+            triadic_utilities(0.75, C, C, 0.1)
         with pytest.raises(ValueError):
-            triadic_utilities(0.25, 0, C)
+            triadic_utilities(0.25, 0, C, 0.1)
 
     def test_checks_run_in_argument_order(self) -> None:
         # The coupling's range is the effective game's check.
@@ -337,7 +337,7 @@ class TestTriadicUtilities:
         with pytest.raises(ValueError, match="^revenue_share must lie in"):
             triadic_utilities(0.25, 0, C, 7.0)
         with pytest.raises(ValueError, match="^actions must be"):
-            triadic_utilities(0.25, 0, C)
+            triadic_utilities(0.25, 0, C, 0.1)
 
     @pytest.mark.parametrize("share", [np.nan, -0.1, 7.0])
     def test_revenue_share_out_of_range_rejected(self, share: float) -> None:

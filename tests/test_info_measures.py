@@ -85,6 +85,18 @@ class TestSymbolSeries:
         assert series.symbols.dtype == np.uint8
         assert series.symbols.tolist() == [0, 1, 1]
 
+    @pytest.mark.parametrize("alphabet", [2.0, 2.5, np.float64(2), "2", None])
+    def test_alphabet_size_must_be_an_integer(self, alphabet) -> None:
+        # A float alphabet once stored float16 symbols that ``tdmi`` could not count.
+        message = re.escape(f"alphabet_size must be an integer, got {alphabet!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SymbolSeries(np.array([0, 1, 1, 0, 1]), alphabet)
+
+    def test_integer_alphabet_size_is_kept_as_int(self) -> None:
+        series = SymbolSeries(np.array([0, 1, 1, 0, 1]), np.int64(2))
+        assert type(series.alphabet_size) is int
+        assert series.symbols.dtype == np.uint8
+
     def test_rejects_2d_input(self) -> None:
         with pytest.raises(ValueError):
             SymbolSeries(np.zeros((2, 2), dtype=int), 2)
@@ -389,6 +401,19 @@ class TestTdmi:
             tdmi(series, 0)
         with pytest.raises(ValueError, match="tau must satisfy 1 <= tau < 3, got 3"):
             tdmi(series, 3)
+
+    @pytest.mark.parametrize("lag", [1.5, np.float64(1), "1", None])
+    def test_lag_must_be_an_integer(self, lag) -> None:
+        series = _series([0, 1, 0, 1, 1], 2)
+        joint = JointSeries((series, series))
+        message = re.escape(f"tau must be an integer, got {lag!r}")
+        for measure, argument in [(tdmi, series), (build_lag_pairs, series), (excess_tdmi, joint)]:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                measure(argument, lag)
+
+    def test_integer_lag_types_agree(self) -> None:
+        series = _series([0, 1, 0, 1, 1], 2)
+        assert tdmi(series, np.int64(2)) == tdmi(series, np.uint8(2)) == tdmi(series, 2)
 
 
 class TestExcessTdmi:

@@ -40,9 +40,6 @@ class TestConfigs:
     @pytest.mark.parametrize(
         "owner, config, name",
         [
-            (agents.Orchestrator, TriadicConfig, "amplitude"),
-            (agents.Orchestrator.calibrated, TriadicConfig, "amplitude"),
-            (triadic_utilities, TriadicConfig, "revenue_share"),
             (agents.MatchingPenniesPredictor, MatchingPenniesConfig, "significance_level"),
             (agents.DeltaRuleLearner, MatchingPenniesConfig, "learning_rate"),
             (agents.DeltaRuleLearner, MatchingPenniesConfig, "inverse_temperature"),
@@ -286,7 +283,7 @@ class TestTriadicModeB:
         log = run_triadic(TriadicConfig(mode="b", steps=250, seed=6))
         for t in range(len(log)):
             expected = triadic_utilities(
-                float(log.coupling[t]), int(log.x2[t]), int(log.x3[t])
+                float(log.coupling[t]), int(log.x2[t]), int(log.x3[t]), log.config.revenue_share
             )
             assert (log.u1[t], log.u2[t], log.u3[t]) == expected
 

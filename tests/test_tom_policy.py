@@ -343,6 +343,23 @@ class TestTomDivergence:
         with pytest.raises(ValueError):
             tom_divergence(rl, rl, 0, 0)
 
+    def test_action_counts_must_agree(self) -> None:
+        space, channel, conditional = hand_instance()
+        modelled = induced_message_policy(space, channel, conditional)
+        rl = Policy(np.array([[0.2, 0.3, 0.5]]))
+        with pytest.raises(ValueError, match="^distributions differ in size: 3 vs 2$"):
+            tom_divergence(rl, modelled, 0, 0)
+
+    def test_state_and_message_must_be_integers(self) -> None:
+        # A list would index a 2-D block of rows, which is no distribution.
+        space, channel, conditional = hand_instance()
+        modelled = induced_message_policy(space, channel, conditional)
+        rl = Policy(np.array([[0.9, 0.1]]))
+        with pytest.raises(ValueError, match=r"^state must be an integer, got \[0, 0\]$"):
+            tom_divergence(rl, modelled, [0, 0], 0)
+        with pytest.raises(ValueError, match=r"^message must be an integer, got 0\.0$"):
+            tom_divergence(rl, modelled, 0, 0.0)
+
 
 def pikl_objective(
     candidate: np.ndarray, q: np.ndarray, anchor: np.ndarray, lam: float
@@ -394,6 +411,12 @@ class TestPiklBestResponse:
     def test_non_finite_lambda_rejected(self, lam: float) -> None:
         with pytest.raises(ValueError, match="finite"):
             pikl_best_response([1.0, 0.0], [0.5, 0.5], lam)
+
+    @pytest.mark.parametrize("q, lam", [([1e308, -1e308], 1.0), ([1.0, 0.0], 1e-320)])
+    def test_overflowed_exponent_takes_its_limit(self, q: list[float], lam: float) -> None:
+        # ``q - max`` or its quotient by ``lam`` overflows to -inf; exp(-inf) = 0
+        # is the exact limit, reached without a RuntimeWarning.
+        assert pikl_best_response(q, [0.5, 0.5], lam).tolist() == [1.0, 0.0]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_q_values_rejected(self, bad: float) -> None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from citom.agents import Orchestrator, equilibrium_action
+from citom.agents import emission_sign, equilibrium_action
 from citom.game_core import (
     COOPERATE,
     EffectiveGameParam,
@@ -30,7 +30,7 @@ def run_triadic(config: TriadicConfig) -> tuple[np.ndarray, ...]:
     steps = config.steps
     signal = rng.integers(0, 2, size=steps).astype(np.int64) * 2 - 1
     if config.mode == "b":
-        emission = Orchestrator.calibrated(config.amplitude).sign * config.amplitude
+        emission = emission_sign(config.amplitude) * config.amplitude
     x1, coupling = np.empty(steps), np.empty(steps)
     x2, x3, value = (np.empty(steps, dtype=np.int8) for _ in range(3))
     u1, u2, u3 = np.empty(steps), np.empty(steps), np.empty(steps)
