@@ -36,14 +36,7 @@ from dataclasses import dataclass, field
 from math import exp, isfinite
 from typing import ClassVar
 
-from .game_core import (
-    COOPERATE,
-    DEFECT,
-    EffectiveGameParam,
-    GameTable,
-    effective_game,
-    pure_nash,
-)
+from .game_core import COOPERATE, DEFECT, GameTable, effective_game, pure_nash
 
 __all__ = [
     "MatchingPenniesPredictor",
@@ -291,9 +284,9 @@ def equilibrium_action(table: GameTable, player: int) -> int:
     mixed play.
     """
     equilibria = pure_nash(table)
-    if not len(equilibria):
+    if not equilibria:
         raise ValueError("table has no pure equilibrium; cannot play myopically")
-    strict = equilibria.strict_equilibria
+    strict = [eq for eq in equilibria if eq.strict]
     if len(strict) == 1:
         return strict[0].actions[player]
     return DEFECT
@@ -311,7 +304,7 @@ def emission_sign(amplitude: float) -> int:
         raise ValueError("amplitude must lie in (0, 1/2]")
     good_signs = []
     for sign in (1, -1):
-        table = effective_game(EffectiveGameParam(sign * amplitude))
+        table = effective_game(sign * amplitude)
         if equilibrium_action(table, 0) == equilibrium_action(table, 1) == COOPERATE:
             good_signs.append(sign)
     if len(good_signs) != 1:

@@ -329,9 +329,7 @@ def run_pikl_demo(config: dict, mode: ObjectiveMode) -> dict:
     with _config_keys("prior", "channel", "conditional_policy"):
         induced = induced_message_policy(space, channel, conditional)
     with _config_keys("speaker_utility", "receiver_type_belief", "conditional_policy"):
-        utilities = message_expected_utilities(
-            space, channel, conditional, state, value["speaker_utility"], belief, induced
-        )
+        utilities = message_expected_utilities(induced, state, value["speaker_utility"], belief)
     selected = best_message(utilities)
 
     with _config_keys("q_values", "rewards", "lambda_anchor", "lambda_tom"):

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import ClassVar, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -38,9 +38,7 @@ __all__ = [
     "SignConvention",
     "GameTable",
     "UtilityPolynomial",
-    "EffectiveGameParam",
     "NashEquilibrium",
-    "NashSet",
     "profile_index",
     "profile_actions",
     "cofactors_2x2",
@@ -53,6 +51,8 @@ __all__ = [
 
 COOPERATE = 1
 DEFECT = -1
+R = 1.0  # mutual cooperation in the effective family
+P = 0.0  # mutual defection in the effective family
 
 
 class SignConvention(enum.Enum):
@@ -249,35 +249,15 @@ def evaluate(polynomial: UtilityPolynomial, actions: Sequence[float]) -> float:
     return float(polynomial.cofactors @ _monomials(actions))
 
 
-@dataclass(frozen=True)
-class EffectiveGameParam:
-    """Coupling ``c`` of the dilemma/harmony family; R = 1 and P = 0 fixed."""
-
-    coupling: float
-
-    REWARD: ClassVar[float] = 1.0
-    PUNISHMENT: ClassVar[float] = 0.0
-
-    def __post_init__(self) -> None:
-        if not -0.5 <= self.coupling <= 0.5:
-            raise ValueError(f"coupling must lie in [-1/2, 1/2], got {self.coupling}")
-
-    @property
-    def temptation(self) -> float:
-        return self.REWARD + self.coupling
-
-    @property
-    def sucker(self) -> float:
-        return self.PUNISHMENT - self.coupling
-
-
-def effective_game(param: EffectiveGameParam) -> GameTable:
-    """Symmetric 2-player table of the family at the given coupling.
+def effective_game(coupling: float) -> GameTable:
+    """Symmetric 2-player table of the family at coupling ``-1/2 <= c <= 1/2``.
 
     The own-by-other payoff matrix, Cooperate first, is
-    ``[[R, S], [T, P]]``.
+    ``[[R, S], [T, P]]`` with ``T = R + c`` and ``S = P - c``.
     """
-    matrix = [[param.REWARD, param.sucker], [param.temptation, param.PUNISHMENT]]
+    if not -0.5 <= coupling <= 0.5:
+        raise ValueError(f"coupling must lie in [-1/2, 1/2], got {coupling}")
+    matrix = [[R, P - coupling], [R + coupling, P]]
     return GameTable.two_player(matrix, matrix)
 
 
@@ -289,19 +269,7 @@ class NashEquilibrium:
     strict: bool
 
 
-@dataclass(frozen=True)
-class NashSet:
-    equilibria: tuple[NashEquilibrium, ...]
-
-    @property
-    def strict_equilibria(self) -> tuple[NashEquilibrium, ...]:
-        return tuple(eq for eq in self.equilibria if eq.strict)
-
-    def __len__(self) -> int:
-        return len(self.equilibria)
-
-
-def pure_nash(table: GameTable) -> NashSet:
+def pure_nash(table: GameTable) -> tuple[NashEquilibrium, ...]:
     """All pure-strategy Nash equilibria, flagged strict or weak.
 
     A profile is an equilibrium when no unilateral deviation strictly
@@ -325,7 +293,7 @@ def pure_nash(table: GameTable) -> NashSet:
                 strict = False
         if stable:
             equilibria.append(NashEquilibrium(profile_actions(index, n), strict))
-    return NashSet(tuple(equilibria))
+    return tuple(equilibria)
 
 
 def triadic_utilities(
@@ -339,7 +307,7 @@ def triadic_utilities(
     their total.  A cooperation round at share 0.1 yields (0.2, 1, 1);
     mutual defection yields (0, 0, 0) at any coupling.
     """
-    table = effective_game(EffectiveGameParam(x1))
+    table = effective_game(x1)
     if not 0.0 <= revenue_share <= 1.0:
         raise ValueError(f"revenue_share must lie in [0, 1], got {revenue_share}")
     u2, u3 = table.payoffs[:, profile_index((x2, x3))].tolist()

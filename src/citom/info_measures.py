@@ -266,6 +266,7 @@ class LagPairDistribution:
         probs = np.asarray(self.probabilities, dtype=np.float64)
         if probs.ndim != 2 or probs.shape[0] != probs.shape[1]:
             raise ValueError(f"probabilities must be square, got shape {probs.shape}")
+        object.__setattr__(self, "tau", as_integer(self.tau, "tau"))
         if self.tau < 1:
             raise ValueError(f"tau must be >= 1, got {self.tau}")
         if self.sample_count < 0:
@@ -312,6 +313,7 @@ class MeasureReport:
     excess: float = field(init=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "tau", as_integer(self.tau, "tau"))
         total = 0.0
         for part in self.per_agent_tdmi:
             total += part

@@ -41,7 +41,7 @@ from .agents import (
     new_count_table,
     response_from_counts,
 )
-from .game_core import COOPERATE, EffectiveGameParam, effective_game, triadic_utilities
+from .game_core import COOPERATE, effective_game, triadic_utilities
 from .info_measures import JointSeries, MeasureReport, SymbolSeries, as_integer, excess_tdmi
 
 __all__ = [
@@ -226,7 +226,7 @@ def run_triadic(config: TriadicConfig) -> TriadicLog:
     actions = np.empty((2, values.size), dtype=np.int8)
     utilities = np.empty((3, values.size))
     for index, value in enumerate(values.tolist()):
-        table = effective_game(EffectiveGameParam(value))
+        table = effective_game(value)
         a2, a3 = equilibrium_action(table, 0), equilibrium_action(table, 1)
         actions[:, index] = a2, a3
         utilities[:, index] = triadic_utilities(value, a2, a3, config.revenue_share)

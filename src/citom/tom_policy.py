@@ -5,7 +5,10 @@ A latent type space carries a prior over partner types; a channel gives
 per-type message likelihoods, and Bayes updates turn observed messages
 into posteriors.  A type-conditioned policy mixed under such a posterior
 is the modelled partner's expected behaviour, and a speaker choosing a
-message simulates exactly that to steer the partner.
+message simulates exactly that to steer the partner.  The pipeline is
+:func:`bayes_update` -> :func:`induced_message_policy` (the partner's
+reaction per state and message) -> :func:`message_expected_utilities` ->
+:func:`best_message`.
 
 Anchored ("piKL") best responses trade reward against staying close to
 an anchor policy: ``pi(a) proportional to anchor(a) * exp(Q(a) / lam)``.
@@ -46,7 +49,6 @@ __all__ = [
     "induced_message_policy",
     "message_expected_utilities",
     "best_message",
-    "select_message",
     "kl_divergence",
     "tom_divergence",
     "pikl_best_response",
@@ -158,6 +160,7 @@ def bayes_update(
         raise ValueError(
             f"prior has {prior_vec.size} types but channel has {channel.n_types}"
         )
+    message = as_integer(message, "message")
     if not 0 <= message < channel.n_messages:
         raise ValueError(f"message {message} out of range")
     weighted = prior_vec * channel.likelihood[:, message]
@@ -184,6 +187,7 @@ def tom_policy_mix(
             f"policy covers {conditional.table.shape[0]} types but belief has "
             f"{belief.posterior.size}"
         )
+    state = as_integer(state, "state")
     if not 0 <= state < conditional.table.shape[1]:
         raise ValueError(f"state {state} out of range")
     return belief.posterior @ conditional.table[:, state, :]
@@ -207,23 +211,22 @@ def induced_message_policy(
 
 
 def message_expected_utilities(
-    space: LatentTypeSpace,
-    channel: Channel,
-    conditional: Policy,
+    reactions: Policy,
     state: int,
     speaker_utility: np.ndarray,
     receiver_type_belief: BeliefState,
-    reactions: Policy | None = None,
 ) -> np.ndarray:
     """Speaker's expected utility of each candidate message.
 
-    The speaker simulates the receiver: message ``m`` induces the
-    posterior-mixed action distribution at ``state``.  The utility table
-    is indexed ``speaker_utility[receiver_type, action]`` and the
-    speaker's belief over receiver types weights the rows, so
-    ``EU(m) = sum_j b(j) sum_a pi(a | state, m) U[j, a]``.  ``reactions``, if
-    given, must be ``induced_message_policy(space, channel, conditional)``.
+    The speaker simulates the receiver: ``reactions`` is the partner's
+    behaviour per (state, message) that :func:`induced_message_policy`
+    returns, so message ``m`` induces ``reactions.table[state, m]``.  The
+    utility table is indexed ``speaker_utility[receiver_type, action]`` and
+    the speaker's belief over receiver types weights the rows, so
+    ``EU(m) = sum_j b(j) sum_a pi(a | state, m) U[j, a]``.
     """
+    if reactions.axes != "sma":
+        raise ValueError(f"reactions must have axes 'sma', got {reactions.axes!r}")
     utility = np.asarray(speaker_utility, dtype=np.float64)
     if utility.ndim != 2:
         raise ValueError(f"speaker_utility must be 2-D, got shape {utility.shape}")
@@ -231,36 +234,19 @@ def message_expected_utilities(
         raise ValueError(
             "speaker_utility rows must match the receiver-type belief"
         )
-    if utility.shape[1] != conditional.n_actions:
+    if utility.shape[1] != reactions.n_actions:
         raise ValueError("speaker_utility columns must match the action count")
     if not np.isfinite(utility).all():
         raise ValueError("speaker_utility must be finite")
-    if not 0 <= state < conditional.table.shape[1]:
+    state = as_integer(state, "state")
+    if not 0 <= state < reactions.table.shape[0]:
         raise ValueError(f"state {state} out of range")
-    weighted_utility = receiver_type_belief.posterior @ utility
-    if reactions is None:
-        reactions = induced_message_policy(space, channel, conditional)
-    return reactions.table[state] @ weighted_utility
+    return reactions.table[state] @ (receiver_type_belief.posterior @ utility)
 
 
 def best_message(utilities: np.ndarray) -> int:
     """The message of highest expected utility; ties resolve to the lowest index."""
     return int(np.argmax(utilities))
-
-
-def select_message(
-    space: LatentTypeSpace,
-    channel: Channel,
-    conditional: Policy,
-    state: int,
-    speaker_utility: np.ndarray,
-    receiver_type_belief: BeliefState,
-) -> int:
-    """Utility-maximising message; ties resolve as in ``best_message``."""
-    utilities = message_expected_utilities(
-        space, channel, conditional, state, speaker_utility, receiver_type_belief
-    )
-    return best_message(utilities)
 
 
 def _kl_nats(p: np.ndarray, q: np.ndarray) -> float:
@@ -318,8 +304,9 @@ def pikl_best_response(
 
     For ``lam > 0`` the optimum is ``pi(a) proportional to
     anchor(a) * exp(Q(a) / lam)`` with the natural exponent; ``lam = 0``
-    recovers the unanchored greedy policy (lowest-index tie-break).
-    Non-finite Q-values and a negative or non-finite ``lam`` are rejected.
+    recovers the unanchored greedy policy (lowest-index tie-break).  The
+    exponent is shifted by the largest Q-value on the anchor's support, so the
+    best action the anchor allows keeps weight however wide the gap.  Non-finite Q-values and a negative or non-finite ``lam`` are rejected.
     """
     q = np.asarray(q_values, dtype=np.float64)
     anchor = as_distribution(anchor, "anchor")
@@ -335,12 +322,11 @@ def pikl_best_response(
         response = np.zeros_like(anchor)
         response[int(np.argmax(q))] = 1.0
         return response
+    support = anchor > 0.0
+    weights = np.zeros_like(anchor)
     with np.errstate(over="ignore"):  # an overflowed exponent is -inf, and exp(-inf) = 0 exactly
-        weights = anchor * np.exp((q - q.max()) / lam)
-    total = float(weights.sum())
-    if total <= 0.0:
-        raise ValueError("anchor must give positive weight somewhere")
-    return weights / total
+        weights[support] = anchor[support] * np.exp((q[support] - q[support].max()) / lam)
+    return weights / weights.sum()
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ from citom.cli import main
 from citom.game_core import (
     COOPERATE,
     DEFECT,
-    EffectiveGameParam,
     GameTable,
     SignConvention,
     cofactors_2x2,
@@ -54,10 +53,11 @@ from citom.tom_policy import (
     Policy,
     anchor_objective,
     bayes_update,
+    best_message,
+    induced_message_policy,
     kl_divergence,
     message_expected_utilities,
     pikl_best_response,
-    select_message,
     tom_policy_mix,
     unified_objective,
 )
@@ -172,16 +172,16 @@ def test_criterion_4_game_family_classification_and_cofactors() -> None:
         grid = np.linspace(-0.5, 0.5, 101)
         assert grid.size == 101
         for c in grid[grid != 0.0]:
-            nash = pure_nash(effective_game(EffectiveGameParam(float(c))))
+            nash = pure_nash(effective_game(float(c)))
             assert len(nash) == 1, f"c={c}: expected a unique pure equilibrium"
-            equilibrium = nash.equilibria[0]
+            equilibrium = nash[0]
             assert equilibrium.strict, f"c={c}: equilibrium should be strict"
             expected = (DEFECT, DEFECT) if c > 0 else (COOPERATE, COOPERATE)
             assert equilibrium.actions == expected, (
                 f"c={c}: expected {expected}, got {equilibrium.actions}"
             )
         for c in (0.25, -0.25):
-            table = effective_game(EffectiveGameParam(c))
+            table = effective_game(c)
             for player in (0, 1):
                 poly = cofactors_2x2(table, player, SignConvention.DEFECT_POSITIVE)
                 other = 1 - player
@@ -310,9 +310,8 @@ def test_criterion_6_bayes_tom_stack() -> None:
             )
             utility = rng.normal(size=(n_types, n_actions))
             belief = BeliefState(random_distribution(rng, n_types))
-            utilities = message_expected_utilities(
-                space, channel, conditional, 0, utility, belief
-            )
+            reactions = induced_message_policy(space, channel, conditional)
+            utilities = message_expected_utilities(reactions, 0, utility, belief)
             exhaustive = []
             weighted_utility = belief.posterior @ utility
             for m in range(n_messages):
@@ -321,7 +320,7 @@ def test_criterion_6_bayes_tom_stack() -> None:
                 mixture = posterior @ conditional.table[:, 0, :]
                 exhaustive.append(float(mixture @ weighted_utility))
             assert np.max(np.abs(utilities - np.asarray(exhaustive))) <= 1e-12
-            chosen = select_message(space, channel, conditional, 0, utility, belief)
+            chosen = best_message(utilities)
             assert all(utilities[chosen] >= u for u in utilities)
             assert chosen == int(np.argmax(exhaustive))
 

@@ -22,13 +22,7 @@ from citom.agents import (
     emission_sign,
     equilibrium_action,
 )
-from citom.game_core import (
-    COOPERATE,
-    DEFECT,
-    EffectiveGameParam,
-    GameTable,
-    effective_game,
-)
+from citom.game_core import COOPERATE, DEFECT, GameTable, effective_game, pure_nash
 
 
 def pvalue(successes: int, trials: int) -> float:
@@ -281,17 +275,17 @@ class TestDeltaRuleLearner:
 
 class TestEquilibriumAction:
     def test_dilemma_side_defects(self) -> None:
-        table = effective_game(EffectiveGameParam(0.25))
+        table = effective_game(0.25)
         assert equilibrium_action(table, 0) == DEFECT
         assert equilibrium_action(table, 1) == DEFECT
 
     def test_harmony_side_cooperates(self) -> None:
-        table = effective_game(EffectiveGameParam(-0.25))
+        table = effective_game(-0.25)
         assert equilibrium_action(table, 0) == COOPERATE
         assert equilibrium_action(table, 1) == COOPERATE
 
     def test_degenerate_boundary_falls_back_to_status_quo(self) -> None:
-        table = effective_game(EffectiveGameParam(0.0))
+        table = effective_game(0.0)
         assert equilibrium_action(table, 0) == DEFECT
         assert equilibrium_action(table, 1) == DEFECT
 
@@ -302,14 +296,15 @@ class TestEquilibriumAction:
         assert equilibrium_action(stag, 0) == DEFECT
 
     def test_no_pure_equilibrium_is_an_error(self) -> None:
-        pennies = GameTable(
-            2, np.array([[1.0, -1.0, -1.0, 1.0], [-1.0, 1.0, 1.0, -1.0]])
-        )
-        with pytest.raises(ValueError):
-            equilibrium_action(pennies, 0)
+        pennies = GameTable.two_player([[1, -1], [-1, 1]], [[-1, 1], [1, -1]])
+        assert len(pure_nash(pennies)) == 0
+        message = "^table has no pure equilibrium; cannot play myopically$"
+        for player in (0, 1):
+            with pytest.raises(ValueError, match=message):
+                equilibrium_action(pennies, player)
 
     def test_invariant_under_positive_affine_rescaling(self) -> None:
-        table = effective_game(EffectiveGameParam(0.25))
+        table = effective_game(0.25)
         scaled = GameTable(2, table.payoffs * 3.0 + 11.0)
         assert equilibrium_action(scaled, 0) == equilibrium_action(table, 0)
 
@@ -321,16 +316,14 @@ class TestEmissionSign:
     def test_positive_signal_buys_cooperation(self) -> None:
         sign = emission_sign(0.25)
         for signal in (1, -1):
-            table = effective_game(EffectiveGameParam(sign * signal * 0.25))
+            table = effective_game(sign * signal * 0.25)
             action = equilibrium_action(table, 0)
             assert action == (COOPERATE if signal == 1 else DEFECT)
 
     def test_survives_re_signing_of_the_payoff_family(self, monkeypatch) -> None:
         # With the family's coupling negated, the other sign buys cooperation.
         family = agents.effective_game
-        monkeypatch.setattr(
-            agents, "effective_game", lambda param: family(EffectiveGameParam(-param.coupling))
-        )
+        monkeypatch.setattr(agents, "effective_game", lambda coupling: family(-coupling))
         assert emission_sign(0.25) == 1
 
     @pytest.mark.parametrize("amplitude", [0.0, -0.1, 0.6, np.nan, np.inf])

@@ -710,8 +710,14 @@ print(json.dumps({"frozen": gc.get_freeze_count(), "enabled": gc.isenabled()}))
         assert result.stderr.startswith("error: ")
 
     @pytest.mark.parametrize(
-        "config", [{"q_values": [[1e308, -1e308]]}, {"lambda_anchor": 1e-320}],
-        ids=["q_values", "lambda_anchor"],
+        "config",
+        [
+            {"q_values": [[1e308, -1e308]]},
+            {"lambda_anchor": 1e-320},
+            # The anchor rules out the best action by 1000 nats.
+            {"q_values": [[1000.0, 0.0]], "anchor_policy": [[0.0, 1.0]]},
+        ],
+        ids=["q_values", "lambda_anchor", "unsupported_best_action"],
     )
     def test_extreme_finite_pikl_config_runs_without_warnings(
         self, tmp_path: Path, config: dict

@@ -16,7 +16,6 @@ import pytest
 from citom.game_core import (
     COOPERATE,
     DEFECT,
-    EffectiveGameParam,
     GameTable,
     SignConvention,
     cofactors_2x2,
@@ -115,7 +114,7 @@ class TestCofactors2x2:
         # (1/2)[1, c, -(1+c), 0] under the defect-positive convention,
         # ordered (constant, own, other, pair).
         for c in (0.25, -0.25):
-            table = effective_game(EffectiveGameParam(c))
+            table = effective_game(c)
             for player in (0, 1):
                 poly = cofactors_2x2(table, player, SignConvention.DEFECT_POSITIVE)
                 other = 1 - player
@@ -127,7 +126,7 @@ class TestCofactors2x2:
                 assert poly.cofactor({0, 1}) == pytest.approx(0.0, abs=1e-15)
 
     def test_cooperate_positive_flips_odd_cofactors(self) -> None:
-        table = effective_game(EffectiveGameParam(0.25))
+        table = effective_game(0.25)
         appendix = cofactors_2x2(table, 0, SignConvention.DEFECT_POSITIVE)
         default = cofactors_2x2(table, 0)
         assert default.cofactor(()) == appendix.cofactor(())
@@ -243,7 +242,7 @@ class TestEvaluate:
 class TestEffectiveGame:
     def test_matrix_entries(self) -> None:
         c = 0.25
-        table = effective_game(EffectiveGameParam(c))
+        table = effective_game(c)
         assert table.payoffs[0, profile_index((C, C))] == 1.0
         assert table.payoffs[1, profile_index((C, C))] == 1.0
         assert table.payoffs[0, profile_index((C, D))] == -c
@@ -253,39 +252,40 @@ class TestEffectiveGame:
         assert table.payoffs[0, profile_index((D, D))] == 0.0
         assert table.payoffs[1, profile_index((D, D))] == 0.0
 
-    def test_param_domain(self) -> None:
-        with pytest.raises(ValueError):
-            EffectiveGameParam(0.6)
-        param = EffectiveGameParam(-0.5)
-        assert param.temptation == 0.5
-        assert param.sucker == 0.5
+    def test_coupling_domain(self) -> None:
+        for bad in (0.6, -0.6, np.nan):
+            with pytest.raises(ValueError, match=rf"^coupling must lie in \[-1/2, 1/2\], got {bad}$"):
+                effective_game(bad)
+        table = effective_game(-0.5)
+        assert table.payoffs[0, profile_index((D, C))] == 0.5  # temptation R + c
+        assert table.payoffs[0, profile_index((C, D))] == 0.5  # sucker P - c
 
 
 class TestPureNash:
     def test_dilemma_side_unique_strict_defection(self) -> None:
-        nash = pure_nash(effective_game(EffectiveGameParam(0.25)))
+        nash = pure_nash(effective_game(0.25))
         assert len(nash) == 1
-        assert nash.equilibria[0].actions == (D, D)
-        assert nash.equilibria[0].strict
+        assert nash[0].actions == (D, D)
+        assert nash[0].strict
 
     def test_harmony_side_unique_strict_cooperation(self) -> None:
-        nash = pure_nash(effective_game(EffectiveGameParam(-0.25)))
+        nash = pure_nash(effective_game(-0.25))
         assert len(nash) == 1
-        assert nash.equilibria[0].actions == (C, C)
-        assert nash.equilibria[0].strict
+        assert nash[0].actions == (C, C)
+        assert nash[0].strict
 
     def test_degenerate_boundary_all_weak(self) -> None:
-        nash = pure_nash(effective_game(EffectiveGameParam(0.0)))
+        nash = pure_nash(effective_game(0.0))
         assert len(nash) == 4
-        assert not nash.strict_equilibria
+        assert not any(eq.strict for eq in nash)
 
     def test_coordination_game_two_strict(self) -> None:
         stag = GameTable.two_player(
             np.array([[4.0, 0.0], [3.0, 2.0]]), np.array([[4.0, 0.0], [3.0, 2.0]])
         )
         nash = pure_nash(stag)
-        assert [eq.actions for eq in nash.equilibria] == [(C, C), (D, D)]
-        assert all(eq.strict for eq in nash.equilibria)
+        assert [eq.actions for eq in nash] == [(C, C), (D, D)]
+        assert all(eq.strict for eq in nash)
 
     def test_matching_pennies_has_no_pure_equilibrium(self) -> None:
         pennies = GameTable(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import re
@@ -29,7 +30,7 @@ from citom.info_measures import (
     mutual_information,
     tdmi,
 )
-from citom.io import SeriesFile, parse_series_csv, series_csv_text
+from citom.io import SeriesFile, measures_json_payload, parse_series_csv, series_csv_text
 from citom.scenarios import (
     MatchingPenniesConfig,
     TriadicConfig,
@@ -264,6 +265,12 @@ class TestLagPairDistribution:
         with pytest.raises(ValueError):
             LagPairDistribution(np.eye(2) / 2, 0)
 
+    def test_lag_is_stored_as_an_int(self) -> None:
+        with pytest.raises(ValueError, match=r"^tau must be an integer, got 1\.5$"):
+            LagPairDistribution.from_probabilities(np.eye(2) / 2, 1.5)
+        tau = LagPairDistribution.from_counts(np.array([[1, 0], [0, 1]]), np.int64(2)).tau
+        assert type(tau) is int and tau == 2
+
     @pytest.mark.parametrize(
         ("counts", "message"),
         [
@@ -420,6 +427,16 @@ class TestExcessTdmi:
     def test_report_identity_exact(self) -> None:
         report = MeasureReport(tau=2, joint_tdmi=0.75, per_agent_tdmi=(0.25, 0.125))
         assert report.excess == 0.75 - (0.25 + 0.125)
+
+    def test_numpy_lag_is_reported_as_an_int(self) -> None:
+        # A numpy scalar kept as given would make the report unserialisable.
+        joint = JointSeries((_series([0, 1, 1, 0, 1], 2), _series([1, 1, 0, 0, 1], 2)))
+        report = excess_tdmi(joint, np.int64(1))
+        assert type(report.tau) is int and report.tau == 1
+        payload = json.loads(json.dumps(measures_json_payload([report], ["x", "y"])))
+        assert payload["measures"][0]["tau"] == 1
+        with pytest.raises(ValueError, match=r"^tau must be an integer, got 1\.5$"):
+            MeasureReport(tau=1.5, joint_tdmi=0.0, per_agent_tdmi=())
 
     def test_single_component_excess_exactly_zero(self) -> None:
         # The joint series of one agent is a relabeling of that agent's

@@ -7,6 +7,7 @@ random instances, not merely match a transcribed formula.
 
 from __future__ import annotations
 
+import warnings
 from math import exp, log
 
 import numpy as np
@@ -26,7 +27,6 @@ from citom.tom_policy import (
     kl_divergence,
     message_expected_utilities,
     pikl_best_response,
-    select_message,
     tom_divergence,
     tom_policy_mix,
     unified_objective,
@@ -152,6 +152,20 @@ class TestBayesUpdate:
         with pytest.raises(ValueError):
             bayes_update(LatentTypeSpace(np.array([1.0])), channel, 0)
 
+    def test_fractional_indices_name_their_argument(self) -> None:
+        # Each index is read by ``operator.index``, not left to numpy's IndexError.
+        space, channel, conditional = hand_instance()
+        belief = BeliefState(np.array([0.5, 0.5]))
+        reactions = induced_message_policy(space, channel, conditional)
+        with pytest.raises(ValueError, match=r"^message must be an integer, got 1\.5$"):
+            bayes_update(space, channel, 1.5)
+        with pytest.raises(ValueError, match=r"^state must be an integer, got 0\.5$"):
+            tom_policy_mix(conditional, belief, 0.5)
+        with pytest.raises(ValueError, match=r"^state must be an integer, got 0\.5$"):
+            message_expected_utilities(reactions, 0.5, np.eye(2), belief)
+        posterior = bayes_update(space, channel, np.int64(1)).posterior
+        assert posterior.tolist() == bayes_update(space, channel, 1).posterior.tolist()
+
 
 class TestPolicyMix:
     def test_degenerate_belief_selects_one_type(self) -> None:
@@ -211,88 +225,66 @@ class TestInducedMessagePolicy:
 class TestMessageSelection:
     def test_hand_expected_utilities_and_choice(self) -> None:
         space, channel, conditional = hand_instance()
+        reactions = induced_message_policy(space, channel, conditional)
         utility = np.array([[1.0, 0.0], [0.0, 1.0]])
         belief = BeliefState(np.array([0.6, 0.4]))
-        utilities = message_expected_utilities(
-            space, channel, conditional, 0, utility, belief
-        )
+        utilities = message_expected_utilities(reactions, 0, utility, belief)
         np.testing.assert_allclose(utilities, [0.552, 0.468], rtol=0, atol=1e-15)
-        assert select_message(space, channel, conditional, 0, utility, belief) == 0
+        assert best_message(utilities) == 0
 
     def test_uninformative_channel_ties_to_lowest_index(self) -> None:
         space, _, conditional = hand_instance()
-        flat = Channel(np.full((2, 2), 0.5))
+        reactions = induced_message_policy(space, Channel(np.full((2, 2), 0.5)), conditional)
         utility = np.array([[1.0, 0.0], [0.0, 1.0]])
         belief = BeliefState(np.array([0.6, 0.4]))
-        utilities = message_expected_utilities(
-            space, flat, conditional, 0, utility, belief
-        )
+        utilities = message_expected_utilities(reactions, 0, utility, belief)
         assert utilities[0] == utilities[1]
-        assert select_message(space, flat, conditional, 0, utility, belief) == 0
+        assert best_message(utilities) == 0
 
     def test_one_tie_rule(self) -> None:
         assert best_message(np.array([0.5, 0.5])) == 0
         assert best_message(np.array([0.1, 0.7, 0.7])) == 1
-        space, channel, conditional = hand_instance()
-        utility = np.array([[0.0, 1.0], [1.0, 0.0]])
-        belief = BeliefState(np.array([0.3, 0.7]))
-        reactions = induced_message_policy(space, channel, conditional)
-        utilities = message_expected_utilities(
-            space, channel, conditional, 0, utility, belief, reactions
-        )
-        assert utilities.tolist() == message_expected_utilities(
-            space, channel, conditional, 0, utility, belief
-        ).tolist()
-        assert select_message(
-            space, channel, conditional, 0, utility, belief
-        ) == best_message(utilities)
+
+    def test_reactions_must_be_message_resolved(self) -> None:
+        _, _, conditional = hand_instance()
+        belief = BeliefState(np.array([0.6, 0.4]))
+        for policy in (conditional, Policy(np.array([[0.5, 0.5]]))):
+            with pytest.raises(ValueError, match="^reactions must have axes 'sma', got '"):
+                message_expected_utilities(policy, 0, np.eye(2), belief)
 
     def test_utility_shape_errors(self) -> None:
         space, channel, conditional = hand_instance()
+        reactions = induced_message_policy(space, channel, conditional)
         belief = BeliefState(np.array([0.6, 0.4]))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^speaker_utility must be 2-D"):
+            message_expected_utilities(reactions, 0, np.array([1.0, 0.0]), belief)
+        with pytest.raises(ValueError, match="^speaker_utility columns must match"):
+            message_expected_utilities(reactions, 0, np.array([[1.0], [0.0]]), belief)
+        with pytest.raises(ValueError, match="^speaker_utility rows must match"):
+            message_expected_utilities(reactions, 0, np.ones((3, 2)), belief)
+        with pytest.raises(ValueError, match="^speaker_utility columns must match"):
             message_expected_utilities(
-                space, channel, conditional, 0, np.array([1.0, 0.0]), belief
-            )
-        with pytest.raises(ValueError):
-            message_expected_utilities(
-                space,
-                channel,
-                conditional,
-                0,
-                np.array([[1.0], [0.0]]),
-                belief,
-            )
-        with pytest.raises(ValueError):
-            message_expected_utilities(
-                space,
-                channel,
-                conditional,
-                0,
-                np.eye(3),
-                BeliefState(np.array([0.2, 0.3, 0.5])),
+                reactions, 0, np.eye(3), BeliefState(np.array([0.2, 0.3, 0.5]))
             )
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_utility_rejected(self, bad: float) -> None:
         # A NaN entry would make every expected utility NaN, and
         # ``best_message`` would then pick the first of them.
-        space, channel, conditional = hand_instance()
+        reactions = induced_message_policy(*hand_instance())
         utility = np.array([[1.0, 0.0], [0.0, bad]])
         belief = BeliefState(np.array([0.6, 0.4]))
-        for choose in (message_expected_utilities, select_message):
-            with pytest.raises(ValueError, match="^speaker_utility must be finite$"):
-                choose(space, channel, conditional, 0, utility, belief)
+        with pytest.raises(ValueError, match="^speaker_utility must be finite$"):
+            message_expected_utilities(reactions, 0, utility, belief)
 
     @pytest.mark.parametrize("state", [-1, 2])
     def test_state_out_of_range(self, state: int) -> None:
         space, channel, _ = hand_instance()
         two_states = np.array([[[0.9, 0.1], [0.3, 0.7]], [[0.2, 0.8], [0.6, 0.4]]])
-        conditional = Policy(two_states, "tsa")
+        reactions = induced_message_policy(space, channel, Policy(two_states, "tsa"))
         utility, belief = np.eye(2), BeliefState(np.array([0.6, 0.4]))
-        for choose in (message_expected_utilities, select_message):
-            with pytest.raises(ValueError, match=f"^state {state} out of range$"):
-                choose(space, channel, conditional, state, utility, belief)
+        with pytest.raises(ValueError, match=f"^state {state} out of range$"):
+            message_expected_utilities(reactions, state, utility, belief)
 
 
 class TestKlDivergence:
@@ -422,6 +414,16 @@ class TestPiklBestResponse:
     def test_non_finite_q_values_rejected(self, bad: float) -> None:
         with pytest.raises(ValueError, match="q_values must be finite"):
             pikl_best_response([bad, 0.0], [0.5, 0.5], 1.0)
+
+    def test_shift_is_by_the_best_action_the_anchor_allows(self) -> None:
+        # Shifted by the maximum over all actions, the one supported weight
+        # would underflow to 0; shifted on the support it is exp(0) = 1.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert pikl_best_response([1000.0, 0.0], [0.0, 1.0], 1.0).tolist() == [0.0, 1.0]
+            response = pikl_best_response([1000.0, 0.0, 1.0], [0.0, 0.5, 0.5], 1.0)
+        top = 1.0 / (1.0 + exp(-1.0))
+        np.testing.assert_allclose(response, [0.0, 1.0 - top, top], rtol=0, atol=1e-15)
 
     def test_maximises_the_anchored_objective(self) -> None:
         rng = np.random.default_rng(77)

@@ -14,12 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from citom.agents import emission_sign, equilibrium_action
-from citom.game_core import (
-    COOPERATE,
-    EffectiveGameParam,
-    effective_game,
-    triadic_utilities,
-)
+from citom.game_core import COOPERATE, effective_game, triadic_utilities
 from citom.scenarios import TriadicConfig
 
 
@@ -45,7 +40,7 @@ def run_triadic(config: TriadicConfig) -> tuple[np.ndarray, ...]:
                 coupling[t] = config.amplitude
             else:
                 coupling[t] = emission * int(signal[t - config.delay])
-        table = effective_game(EffectiveGameParam(float(coupling[t])))
+        table = effective_game(float(coupling[t]))
         x2[t] = equilibrium_action(table, 0)
         x3[t] = equilibrium_action(table, 1)
         u1[t], u2[t], u3[t] = triadic_utilities(
